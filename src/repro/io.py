@@ -13,6 +13,7 @@ flat — no pickling, no code execution on load.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Dict, Iterable, List, Union
 
@@ -113,16 +114,41 @@ def wrsn_to_dict(network: WRSN) -> Dict:
     }
 
 
+def _check_finite(data: Dict) -> None:
+    """Refuse NaN and ±inf in a ``repro-wrsn/1`` document by field name.
+
+    Python's ``json`` parses ``NaN`` and ``Infinity``; such a number
+    must stop at the wire, not deep inside a planner kernel.
+    """
+    numbers = [
+        ("comm_range_m", data["comm_range_m"]),
+        ("field.width", data["field"]["width"]),
+        ("field.height", data["field"]["height"]),
+    ]
+    for name in ("base_station", "depot"):
+        numbers += [(f"{name}[{j}]", v) for j, v in enumerate(data[name])]
+    for i, raw in enumerate(data["sensors"]):
+        numbers += [
+            (f"sensors[{i}].{key}", raw[key])
+            for key in ("x", "y", "capacity_j", "level_j", "data_rate_bps")
+        ]
+    for name, value in numbers:
+        if not math.isfinite(float(value)):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def wrsn_from_dict(data: Dict) -> WRSN:
     """Rebuild a WRSN instance from :func:`wrsn_to_dict` output.
 
     Raises:
-        ValueError: on a missing or unknown format tag.
+        ValueError: on a missing or unknown format tag, or a
+            non-finite number (NaN, ±inf) in any field.
     """
     if data.get("format") != WRSN_FORMAT:
         raise ValueError(
             f"not a {WRSN_FORMAT} document: format={data.get('format')!r}"
         )
+    _check_finite(data)
     sensors = [
         Sensor(
             id=int(raw["id"]),

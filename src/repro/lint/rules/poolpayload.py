@@ -1,7 +1,7 @@
 """Rule R10 ``pool-payload`` — only module-level callables into the pool.
 
-:func:`repro.serve.pool.run_tasks` and the persistent
-:class:`repro.serve.health.SupervisedPool` pickle the task function
+:func:`repro.serve.pool.run_tasks` and the executor core under it,
+:class:`repro.serve.pool.SupervisedPool`, pickle the task function
 into worker processes. Lambdas, closures and bound methods are either
 unpicklable outright (spawn start methods) or — worse, under fork —
 *silently* picklable today and broken the day the start method or the
@@ -166,12 +166,12 @@ class _Visitor(RuleVisitor):
 
 @register
 class PoolPayloadRule(ProjectRule):
-    """R10: ``run_tasks`` callables must be module-level importable."""
+    """R10: pool callables must be module-level importable."""
 
     id = "pool-payload"
     description = (
         "callables submitted to serve.pool.run_tasks or "
-        "serve.health.SupervisedPool must be module-level "
+        "serve.pool.SupervisedPool must be module-level "
         "(no lambdas/closures/bound methods)"
     )
 

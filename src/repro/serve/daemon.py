@@ -17,7 +17,7 @@ pieces this package already trusts:
   drifted residuals onto the pinned network and calls
   :meth:`~repro.pipeline.PlanningContext.invalidate` per changed
   sensor instead of rebuilding. The
-  :class:`~repro.serve.health.SupervisedPool` keeps worker processes
+  :class:`~repro.serve.pool.SupervisedPool` keeps worker processes
   (and therefore those caches) alive across requests; with
   ``workers=1`` the cache lives in the daemon process itself.
 * **Admission control** (:mod:`repro.serve.admission`) — a bounded
@@ -62,17 +62,20 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.io import PathLike, dump_jsonl_line, wrsn_to_dict
 from repro.network.topology import WRSN
-from repro.pipeline import get_planner
 from repro.serve.admission import (
     AdmissionPolicy,
     REJECT_SHUTDOWN,
     Rejection,
     ServiceTimeEstimator,
 )
-from repro.serve.health import CircuitBreaker, SupervisedPool
+from repro.serve.health import CircuitBreaker
 from repro.serve.jobs import JobResult, PlanJob
-from repro.serve.pool import STATUS_ERROR, TaskOutcome
-from repro.serve.service import result_from_outcome
+from repro.serve.pool import SupervisedPool, TaskOutcome
+from repro.serve.service import (
+    plan_job_payload,
+    result_from_outcome,
+    unknown_planner_result,
+)
 from repro.serve.workers import execute_plan_job
 
 #: Status document format tag.
@@ -445,19 +448,8 @@ class PlanningDaemon:
                     rejection.to_result_dict(job_id, index, job), None
                 )
                 return ticket
-            try:
-                get_planner(job.planner)
-            except KeyError as exc:
-                result = JobResult(
-                    job_id=job_id,
-                    index=index,
-                    status=STATUS_ERROR,
-                    planner=job.planner,
-                    num_chargers=job.num_chargers,
-                    group_key=digest,
-                    attempts=0,
-                    error=str(exc),
-                )
+            result = unknown_planner_result(job, index, digest)
+            if result is not None:
                 self._count_completion(result.status)
                 ticket._resolve(result.to_dict(), result)
                 return ticket
@@ -514,15 +506,13 @@ class PlanningDaemon:
         else:
             planner = leader.job.planner
             pool = self.pool
-        payload = {
-            "token": self._token,
-            "group_key": entry.group_key,
-            "network": leader.job.network,
-            "requests": leader.job.request_ids,
-            "num_chargers": leader.job.num_chargers,
-            "planner": planner,
-            "share_contexts": True,
-        }
+        payload = plan_job_payload(
+            leader.job,
+            self._token,
+            entry.group_key,
+            planner=planner,
+            share_contexts=True,
+        )
         outcome = pool.run_one(payload, index=leader.index)
         if not degraded:
             if outcome.ok:

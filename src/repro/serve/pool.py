@@ -1,14 +1,14 @@
-"""Generic ordered fan-out over a worker pool.
+"""The one executor core under every planning front end.
 
-:func:`run_tasks` is the execution engine under the batch planning
-service and the parallel figure campaigns: it maps a picklable
-top-level function over a payload list, either in-process (the default
-and fallback — zero surprise, zero pickling) or across a
-``concurrent.futures.ProcessPoolExecutor``, and returns one structured
-:class:`TaskOutcome` per payload **in payload order** regardless of
-completion order.
-
-Failure semantics are uniform across both executors:
+:class:`SupervisedPool` runs a picklable top-level function over
+payloads — in the calling thread when ``workers == 1`` (zero
+surprise, zero pickling), across a persistent
+``concurrent.futures.ProcessPoolExecutor`` otherwise — and reports
+every attempt as a structured :class:`TaskOutcome`. Its executor
+outlives each call, so worker-side state such as the warm
+:data:`repro.serve.workers._GROUP_CACHE` context groups survives
+between requests; the planning daemon keeps one pool for its whole
+lifetime. Failure semantics are the same in process and in workers:
 
 * an exception raised by the function becomes an ``"error"`` outcome
   (siblings keep running — one poisoned payload never aborts a batch);
@@ -16,16 +16,24 @@ Failure semantics are uniform across both executors:
   bound is enforced *inside* the executing process by running the call
   on a watchdog thread, so serial and pooled execution time out
   identically and a stuck task cannot wedge the pool's result loop;
-* failed tasks are retried up to ``max_retries`` times in later waves,
-  with exponential backoff between waves (``backoff_s · 2^(wave-1)``);
-  the final outcome records the total attempt count;
 * a worker process dying (``BrokenProcessPool``) fails only the tasks
-  in flight; the pool is rebuilt before the next retry wave — but at
-  most ``max_pool_rebuilds`` times per :func:`run_tasks` call. A
-  payload that *deterministically* kills its worker would otherwise
-  break the pool once per retry wave; when the rebuild budget is
-  exhausted the still-pending tasks get a terminal ``"pool-broken"``
-  outcome instead of another doomed wave.
+  in flight, as ``"pool-broken"`` outcomes. The executor is rebuilt
+  once per breakage, coordinated by a generation counter so concurrent
+  callers hitting the same corpse rebuild once, not once each.
+
+:func:`run_tasks` is the batch front end (the planning service, eval,
+bench sweeps, the fault campaign). It opens a pool per call, maps the
+function over a payload list and returns one outcome per payload **in
+payload order** regardless of completion order:
+
+* failed tasks — including those caught in a broken pool — are retried
+  up to ``max_retries`` times in later waves, with exponential backoff
+  between waves (``backoff_s · 2^(wave-1)``); the final outcome
+  records the total attempt count and elapsed time;
+* a payload that *deterministically* kills its worker would break the
+  pool once per retry wave, so once the pool has been rebuilt more
+  than ``max_pool_rebuilds`` times the still-pending tasks get a
+  terminal ``"pool-broken"`` outcome instead of another doomed wave.
 
 Determinism: outcomes are positionally stable and the function is
 expected to be a pure function of its payload, so any two runs — and
@@ -34,12 +42,22 @@ any two worker counts — produce the same outcome values.
 
 from __future__ import annotations
 
+import multiprocessing
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import Future, as_completed
+from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 #: Outcome status values, in "worst wins" order for aggregation.
 STATUS_OK = "ok"
@@ -170,145 +188,168 @@ def _pool_entry(
         return (STATUS_ERROR, f"{type(exc).__name__}: {exc}")
 
 
-def _attempt_serial(
-    fn: Callable[[Any], Any],
-    payload: Any,
-    timeout_s: Optional[float],
-    outcome: TaskOutcome,
-) -> None:
-    start = time.perf_counter()
-    status, value = _pool_entry(fn, payload, timeout_s)
-    outcome.elapsed_s += time.perf_counter() - start
-    outcome.attempts += 1
-    outcome.status = status
-    if status == STATUS_OK:
-        outcome.value, outcome.error = value, None
-    else:
-        outcome.value, outcome.error = None, str(value)
+class SupervisedPool:
+    """A persistent, self-healing worker pool for one task function.
 
+    Args:
+        fn: a picklable **module-level** callable of one payload
+            argument (pool mode pickles both the function and each
+            payload; enforced by lint rule R10).
+        workers: worker process count. ``1`` executes in the calling
+            thread with no executor at all — worker-side caches then
+            live in the calling process itself.
+        mp_context: multiprocessing start method; ``None`` = platform
+            default.
+        timeout_s: per-task execution bound enforced inside the worker.
+        on_broken: callback fired once per pool breakage (after the
+            rebuild), e.g. ``breaker.record_failure``.
 
-def _run_serial(
-    fn: Callable[[Any], Any],
-    payloads: Sequence[Any],
-    config: PoolConfig,
-    progress: Optional[Callable[[TaskOutcome], None]],
-) -> List[TaskOutcome]:
-    outcomes = [
-        TaskOutcome(index=i, status=STATUS_ERROR)
-        for i in range(len(payloads))
-    ]
-    for i, payload in enumerate(payloads):
-        for wave in range(config.max_retries + 1):
-            if wave:
-                time.sleep(backoff_delay_s(wave, config.backoff_s))
-            _attempt_serial(fn, payload, config.timeout_s, outcomes[i])
-            if outcomes[i].ok:
-                break
-        if progress is not None:
-            progress(outcomes[i])
-    return outcomes
+    Call :meth:`run_many` or :meth:`run_one` from any number of
+    threads; every payload gets exactly one single-attempt outcome.
+    """
 
+    def __init__(
+        self,
+        fn: Callable[[Any], Any],
+        workers: int = 1,
+        mp_context: Optional[str] = None,
+        timeout_s: Optional[float] = None,
+        on_broken: Optional[Callable[[], None]] = None,
+    ):
+        if workers <= 0:
+            raise ValueError(f"workers must be positive, got {workers}")
+        self.fn = fn
+        self.workers = workers
+        self.timeout_s = timeout_s
+        self.mp_context = mp_context
+        self.on_broken = on_broken
+        self._lock = threading.Lock()
+        self._executor: Optional[ProcessPoolExecutor] = None
+        self._generation = 0
+        self._closed = False
+        self._rebuilds = 0
 
-def _run_pooled(
-    fn: Callable[[Any], Any],
-    payloads: Sequence[Any],
-    config: PoolConfig,
-    progress: Optional[Callable[[TaskOutcome], None]],
-) -> List[TaskOutcome]:
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    # ------------------------------------------------------------------
 
-    outcomes = [
-        TaskOutcome(index=i, status=STATUS_ERROR)
-        for i in range(len(payloads))
-    ]
-    mp_context = (
-        multiprocessing.get_context(config.mp_context)
-        if config.mp_context is not None
-        else None
-    )
+    def _ensure_executor(self) -> Tuple[Optional[ProcessPoolExecutor], int]:
+        """The live executor (``None`` in process) and its generation,
+        creating it on demand; raises once the pool is closed."""
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("SupervisedPool is closed")
+            if self._executor is None and self.workers > 1:
+                context = (
+                    multiprocessing.get_context(self.mp_context)
+                    if self.mp_context is not None
+                    else None
+                )
+                self._executor = ProcessPoolExecutor(
+                    max_workers=self.workers, mp_context=context
+                )
+            return self._executor, self._generation
 
-    def _make_executor() -> "ProcessPoolExecutor":
-        return ProcessPoolExecutor(
-            max_workers=config.workers, mp_context=mp_context
+    def _handle_broken(self, generation: int) -> None:
+        """Rebuild after a breakage — once per generation, not per
+        thread that observed it."""
+        with self._lock:
+            if self._closed or generation != self._generation:
+                return  # another thread already rebuilt this corpse
+            executor, self._executor = self._executor, None
+            self._generation += 1
+            self._rebuilds += 1
+        if executor is not None:
+            executor.shutdown(wait=False, cancel_futures=True)
+        if self.on_broken is not None:
+            self.on_broken()
+
+    def _submit(self, payload: Any) -> Tuple[Future, int]:
+        """Start one attempt; a refused submission (closed or broken
+        pool, unpicklable payload) comes back inside the future."""
+        future: Future = Future()
+        generation = -1
+        try:
+            executor, generation = self._ensure_executor()
+            if executor is None:
+                future.set_result(
+                    _pool_entry(self.fn, payload, self.timeout_s)
+                )
+            else:
+                future = executor.submit(
+                    _pool_entry, self.fn, payload, self.timeout_s
+                )
+        except Exception as exc:  # noqa: BLE001 - reported per task
+            future.set_exception(exc)
+        return future, generation
+
+    def _collect(
+        self, future: Future, generation: int, index: int, start: float
+    ) -> TaskOutcome:
+        try:
+            status, value = future.result()
+        except BrokenProcessPool:
+            self._handle_broken(generation)
+            status, value = (
+                STATUS_POOL_BROKEN,
+                "worker process died (BrokenProcessPool); pool rebuilt",
+            )
+        except Exception as exc:  # closed pool, unpicklable result etc.
+            status, value = STATUS_ERROR, f"{type(exc).__name__}: {exc}"
+        ok = status == STATUS_OK
+        return TaskOutcome(
+            index=index,
+            status=status,
+            value=value if ok else None,
+            error=None if ok else str(value),
+            attempts=1,
+            elapsed_s=time.perf_counter() - start,
         )
 
-    executor = _make_executor()
-    rebuilds = 0
-    try:
-        pending = list(range(len(payloads)))
-        for wave in range(config.max_retries + 1):
-            if not pending:
-                break
-            if wave:
-                time.sleep(backoff_delay_s(wave, config.backoff_s))
-            futures: Dict[Future, int] = {}
-            submitted_at: Dict[int, float] = {}
-            broken = False
-            for i in pending:
-                submitted_at[i] = time.perf_counter()
-                futures[
-                    executor.submit(
-                        _pool_entry, fn, payloads[i], config.timeout_s
-                    )
-                ] = i
-            not_done = set(futures)
-            while not_done:
-                done, not_done = wait(
-                    not_done, return_when=FIRST_COMPLETED
-                )
-                for future in done:
-                    i = futures[future]
-                    outcome = outcomes[i]
-                    outcome.attempts += 1
-                    outcome.elapsed_s += (
-                        time.perf_counter() - submitted_at[i]
-                    )
-                    try:
-                        status, value = future.result()
-                    except BrokenProcessPool:
-                        broken = True
-                        status, value = (
-                            STATUS_ERROR,
-                            "worker process died (BrokenProcessPool)",
-                        )
-                    except Exception as exc:  # unpicklable result etc.
-                        status, value = (
-                            STATUS_ERROR,
-                            f"{type(exc).__name__}: {exc}",
-                        )
-                    outcome.status = status
-                    if status == STATUS_OK:
-                        outcome.value, outcome.error = value, None
-                    else:
-                        outcome.value, outcome.error = None, str(value)
-                    final = outcome.ok or wave == config.max_retries
-                    if final and progress is not None:
-                        progress(outcome)
-            pending = [i for i in pending if not outcomes[i].ok]
-            if broken:
-                if rebuilds >= config.max_pool_rebuilds:
-                    # Rebuild budget exhausted: the payload set breaks
-                    # every pool it meets. Abandon the survivors with a
-                    # terminal outcome instead of another doomed wave.
-                    if wave < config.max_retries:
-                        for i in pending:
-                            outcome = outcomes[i]
-                            outcome.status = STATUS_POOL_BROKEN
-                            outcome.error = (
-                                f"worker pool broke {rebuilds + 1} "
-                                f"time(s); giving up (max_pool_rebuilds"
-                                f"={config.max_pool_rebuilds})"
-                            )
-                            if progress is not None:
-                                progress(outcome)
-                    break
-                rebuilds += 1
-                executor.shutdown(wait=False, cancel_futures=True)
-                executor = _make_executor()
-    finally:
-        executor.shutdown(wait=False, cancel_futures=True)
-    return outcomes
+    # ------------------------------------------------------------------
+
+    def run_many(
+        self, payloads: Sequence[Any], indices: Sequence[int]
+    ) -> Iterator[TaskOutcome]:
+        """One single-attempt outcome per payload, in completion order.
+
+        Outcome ``i`` carries ``indices[i]``. In process, each payload
+        runs when the iterator reaches it; with workers, all are
+        submitted at once. A worker death comes back as a
+        ``"pool-broken"`` outcome for every task in flight (the caller
+        decides whether to retry, degrade or give up); the pool has
+        already been rebuilt for the next submission by then.
+        """
+        in_flight: Dict[Future, Tuple[int, int, float]] = {}
+        for payload, index in zip(payloads, indices):
+            start = time.perf_counter()
+            future, generation = self._submit(payload)
+            if future.done():
+                yield self._collect(future, generation, index, start)
+            else:
+                in_flight[future] = (generation, index, start)
+        for future in as_completed(in_flight):
+            yield self._collect(future, *in_flight[future])
+
+    def run_one(self, payload: Any, index: int = 0) -> TaskOutcome:
+        """Execute one payload; always returns a terminal outcome."""
+        (outcome,) = self.run_many([payload], [index])
+        return outcome
+
+    # ------------------------------------------------------------------
+
+    @property
+    def rebuilds(self) -> int:
+        with self._lock:
+            return self._rebuilds
+
+    def close(self) -> None:
+        """Shut the executor down; further calls get error outcomes."""
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=True, cancel_futures=True)
 
 
 def run_tasks(
@@ -331,9 +372,60 @@ def run_tasks(
         Outcomes positionally aligned with ``payloads``.
     """
     config = config if config is not None else PoolConfig()
-    if config.workers == 1:
-        return _run_serial(fn, payloads, config, progress)
-    return _run_pooled(fn, payloads, config, progress)
+    outcomes = [
+        TaskOutcome(index=i, status=STATUS_ERROR)
+        for i in range(len(payloads))
+    ]
+    pool = SupervisedPool(
+        fn,
+        workers=config.workers,
+        mp_context=config.mp_context,
+        timeout_s=config.timeout_s,
+    )
+    try:
+        pending = list(range(len(payloads)))
+        for wave in range(config.max_retries + 1):
+            if not pending:
+                break
+            if wave:
+                time.sleep(backoff_delay_s(wave, config.backoff_s))
+            last_wave = wave == config.max_retries
+            for attempt in pool.run_many(
+                [payloads[i] for i in pending], pending
+            ):
+                outcome = outcomes[attempt.index]
+                outcome.attempts += 1
+                outcome.elapsed_s += attempt.elapsed_s
+                outcome.value, outcome.error = attempt.value, attempt.error
+                # The pool already rebuilt itself; a task caught in the
+                # breakage is retried like any other failure.
+                outcome.status = (
+                    STATUS_ERROR
+                    if attempt.status == STATUS_POOL_BROKEN
+                    else attempt.status
+                )
+                if (outcome.ok or last_wave) and progress is not None:
+                    progress(outcome)
+            pending = [i for i in pending if not outcomes[i].ok]
+            if pool.rebuilds > config.max_pool_rebuilds:
+                # Rebuild budget exhausted: the payload set breaks
+                # every pool it meets. Abandon the survivors with a
+                # terminal outcome instead of another doomed wave.
+                if not last_wave:
+                    for i in pending:
+                        outcome = outcomes[i]
+                        outcome.status = STATUS_POOL_BROKEN
+                        outcome.error = (
+                            f"worker pool broke {pool.rebuilds} "
+                            f"time(s); giving up (max_pool_rebuilds"
+                            f"={config.max_pool_rebuilds})"
+                        )
+                        if progress is not None:
+                            progress(outcome)
+                break
+    finally:
+        pool.close()
+    return outcomes
 
 
 __all__ = [
@@ -342,6 +434,7 @@ __all__ = [
     "STATUS_OK",
     "STATUS_POOL_BROKEN",
     "STATUS_TIMEOUT",
+    "SupervisedPool",
     "TaskOutcome",
     "TaskTimeout",
     "backoff_delay_s",

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.pipeline import (
     PlanningContext,
@@ -99,6 +99,53 @@ def result_from_outcome(
     result.plan_s = float(value["plan_s"])
     result.cache = dict(value["cache"])
     return result
+
+
+def unknown_planner_result(
+    job: PlanJob, index: int, group_key: str
+) -> Optional[JobResult]:
+    """The terminal error result for a job naming no registered planner.
+
+    ``None`` when ``job.planner`` is registered. Both front ends answer
+    an unknown planner this way before any pool submission, so the
+    result records zero attempts.
+    """
+    try:
+        get_planner(job.planner)
+    except KeyError as exc:
+        return JobResult(
+            job_id=job.job_id or f"job-{index}",
+            index=index,
+            status=STATUS_ERROR,
+            planner=job.planner,
+            num_chargers=job.num_chargers,
+            group_key=group_key,
+            attempts=0,
+            error=str(exc),
+        )
+    return None
+
+
+def plan_job_payload(
+    job: PlanJob,
+    token: str,
+    group_key: str,
+    planner: str,
+    share_contexts: bool,
+) -> Dict[str, Any]:
+    """The :func:`~repro.serve.workers.execute_plan_job` payload for
+    ``job``, run with ``planner`` in context group
+    ``(token, group_key)``; shared by the batch service and the
+    daemon."""
+    return {
+        "token": token,
+        "group_key": group_key,
+        "network": job.network,
+        "requests": job.request_ids,
+        "num_chargers": job.num_chargers,
+        "planner": planner,
+        "share_contexts": share_contexts,
+    }
 
 
 class PlanningService:
@@ -174,34 +221,21 @@ class PlanningService:
         payloads: List[Dict] = []
         payload_jobs: List[int] = []
         for i, job in enumerate(jobs):
-            job_id = job.job_id or f"job-{i}"
-            try:
-                get_planner(job.planner)
-            except KeyError as exc:
+            rejected = unknown_planner_result(job, i, group_keys[i])
+            if rejected is not None:
                 # Fail unknown planners in the parent, without burning
                 # pool submissions or retries on them.
-                results[i] = JobResult(
-                    job_id=job_id,
-                    index=i,
-                    status=STATUS_ERROR,
-                    planner=job.planner,
-                    num_chargers=job.num_chargers,
-                    group_key=group_keys[i],
-                    attempts=0,
-                    error=str(exc),
-                )
+                results[i] = rejected
                 if progress is not None:
-                    progress(results[i])
+                    progress(rejected)
                 continue
-            payload = {
-                "token": token,
-                "group_key": group_keys[i],
-                "network": job.network,
-                "requests": job.request_ids,
-                "num_chargers": job.num_chargers,
-                "planner": job.planner,
-                "share_contexts": self.share_contexts,
-            }
+            payload = plan_job_payload(
+                job,
+                token,
+                group_keys[i],
+                planner=job.planner,
+                share_contexts=self.share_contexts,
+            )
             snapshot = warm.get((id(job.network), job.request_ids))
             if snapshot is not None:
                 payload["warm_start"] = snapshot
@@ -295,4 +329,10 @@ class PlanningService:
         return stats
 
 
-__all__ = ["PlanningService", "REQUIRED_VALUE_KEYS", "result_from_outcome"]
+__all__ = [
+    "PlanningService",
+    "REQUIRED_VALUE_KEYS",
+    "plan_job_payload",
+    "result_from_outcome",
+    "unknown_planner_result",
+]

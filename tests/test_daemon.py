@@ -261,8 +261,9 @@ class TestSupervisedPool:
         finally:
             pool.close()
 
-    def test_closed_pool_errors_structurally(self):
-        pool = SupervisedPool(_echo, workers=2, mp_context="fork")
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_closed_pool_errors_structurally(self, workers):
+        pool = SupervisedPool(_echo, workers=workers, mp_context="fork")
         pool.close()
         outcome = pool.run_one("x")
         assert not outcome.ok

@@ -85,6 +85,25 @@ class TestServeStream:
         assert row["status"] == "error"
         assert "network_ref" in row["error"]
 
+    def test_non_finite_network_gets_line_error(self, net):
+        # NaN / ±inf in a network answer with the per-line error
+        # record; the session keeps serving the lines after them.
+        good, = _job_lines(net, 1)
+        lines = []
+        for bad in ("NaN", "Infinity", "-Infinity"):
+            record = json.loads(good)
+            record["network"]["sensors"][0]["x"] = json.loads(bad)
+            lines.append(json.dumps(record))
+        lines.append(good)
+        wfile = io.StringIO()
+        with PlanningDaemon(DaemonConfig(workers=1)) as daemon:
+            serve_stream(daemon, io.StringIO("\n".join(lines) + "\n"),
+                         wfile)
+        rows = [json.loads(x) for x in wfile.getvalue().splitlines()]
+        assert [r["status"] for r in rows] == ["error"] * 3 + ["ok"]
+        for row in rows[:3]:
+            assert "sensors[0].x must be finite" in row["error"]
+
     def test_unknown_op_is_reported(self, net):
         wfile = io.StringIO()
         with PlanningDaemon(DaemonConfig(workers=1)) as daemon:

@@ -264,6 +264,35 @@ class TestPoolEngine:
         assert outcomes[0].status == STATUS_POOL_BROKEN
         assert outcomes[0].attempts == 1
 
+    def test_serial_and_pooled_outcomes_agree(self):
+        # One engine under both modes: ok, raising and timing-out
+        # payloads end with the same status, value, error text and
+        # attempt count at every position, and each task reports
+        # progress exactly once.
+        payloads = ["a", "raise", "slow", "b", "raise", "c"]
+        observed = {}
+        for workers in (1, 2):
+            seen = []
+            outcomes = run_tasks(
+                _mixed_payload,
+                payloads,
+                config=PoolConfig(workers=workers, mp_context="fork",
+                                  timeout_s=0.2, max_retries=1),
+                progress=seen.append,
+            )
+            assert sorted(p.index for p in seen) == list(
+                range(len(payloads))
+            )
+            observed[workers] = [
+                (o.status, o.value, o.error, o.attempts) for o in outcomes
+            ]
+        assert observed[1] == observed[2]
+        assert [row[0] for row in observed[1]] == [
+            STATUS_OK, STATUS_ERROR, STATUS_TIMEOUT,
+            STATUS_OK, STATUS_ERROR, STATUS_OK,
+        ]
+        assert [row[3] for row in observed[1]] == [1, 2, 2, 1, 2, 1]
+
     def test_pool_broken_surfaces_through_service_stats(
         self, fake_planners, net
     ):
@@ -293,6 +322,14 @@ def _exit_or_echo(payload):
 
     if payload == "die":
         os._exit(13)
+    return payload
+
+
+def _mixed_payload(payload):
+    if payload == "raise":
+        raise ValueError("injected payload failure")
+    if payload == "slow":
+        time.sleep(2.0)
     return payload
 
 

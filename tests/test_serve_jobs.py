@@ -1,6 +1,7 @@
 """Job/result JSONL schemas and the :mod:`repro.io` JSON Lines helpers."""
 
 import json
+import re
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.network.topology import random_wrsn
 from repro.serve import (
     JobLineError,
     JobResult,
+    JobStreamReader,
     PlanJob,
     PlanningService,
     job_to_dict,
@@ -132,6 +134,33 @@ class TestLoaderErrors:
         del record["requests"]
         with pytest.raises(ValueError, match="requests"):
             jobs_from_records([record])
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize(
+        "path, name",
+        [
+            (("sensors", 0, "x"), "sensors[0].x"),
+            (("sensors", 1, "level_j"), "sensors[1].level_j"),
+            (("sensors", 2, "capacity_j"), "sensors[2].capacity_j"),
+            (("sensors", 3, "data_rate_bps"), "sensors[3].data_rate_bps"),
+            (("comm_range_m",), "comm_range_m"),
+            (("field", "width"), "field.width"),
+            (("base_station", 1), "base_station[1]"),
+            (("depot", 0), "depot[0]"),
+        ],
+    )
+    def test_non_finite_number_rejected_at_parse(self, net, path, name, bad):
+        # Python's json parses NaN/Infinity; the reader must refuse
+        # them by name instead of handing them to a planner.
+        record = job_to_dict(_job(net))
+        *parents, leaf = path
+        target = record["network"]
+        for key in parents:
+            target = target[key]
+        target[leaf] = json.loads(bad)
+        record = json.loads(json.dumps(record))  # NaN/Infinity tokens
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be")):
+            JobStreamReader().job_from_record(record, 1)
 
 
 class TestLenientLoading:
