@@ -21,6 +21,7 @@ charging.
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import networkx as nx
@@ -97,10 +98,22 @@ def extend_schedule(
     """Run the full extension loop of Algorithm 1 (lines 7–24).
 
     Candidates are drawn from ``remaining`` (``S_I \\ V'_H``); each
-    iteration picks the one with the smallest ``f_N`` (Eq. 8,
-    recomputed against the evolving schedule), skips it when its disk
-    is already fully covered, and otherwise inserts it after its
-    latest-finishing scheduled neighbour.
+    iteration picks the one with the smallest ``(f_N, node)`` (Eq. 8,
+    against the evolving schedule), skips it when its disk is already
+    fully covered, and otherwise inserts it after its latest-finishing
+    scheduled neighbour.
+
+    The pick uses a lazy-deletion heap of ``(f_N, node)`` entries: a
+    popped entry whose key is stale is pushed again with its current
+    key, a current one is taken. That is exact because keys never
+    decrease — an insertion only delays finish times downstream of it,
+    and a newly scheduled neighbour only adds to the max in Eq. (8) —
+    so every stored key is a lower bound on its node's current key.
+    Floating-point rounding could in principle break the first half of
+    that argument, so each insertion compares the tour's finish times
+    before and after and rebuilds the heap from scratch if any
+    decreased. A node with no scheduled neighbour has no key and no
+    entry; it gains one when a neighbour is scheduled.
 
     Candidates with *no* scheduled neighbour are deferred; if at some
     point every remaining candidate is deferred and uncovered (possible
@@ -114,15 +127,42 @@ def extend_schedule(
     """
     pending: Set[int] = set(remaining)
     outcome: Dict[int, str] = {}
+
+    def keyed(nodes: Iterable[int]) -> List[Tuple[float, int]]:
+        entries = []
+        for node in nodes:
+            key = latest_neighbor_finish(node, aux_graph, schedule)
+            if key is not None:
+                entries.append((key, node))
+        return entries
+
+    def push_neighbors(node: int) -> None:
+        # ``node`` was just scheduled: its pending neighbours may have
+        # gained their first key.
+        for entry in keyed(
+            nbr for nbr in aux_graph.neighbors(node) if nbr in pending
+        ):
+            heapq.heappush(heap, entry)
+
+    def pop_current() -> Optional[int]:
+        # The pending node with the smallest current (f_N, node), or
+        # None when no pending node has a scheduled neighbour.
+        while heap:
+            key, node = heapq.heappop(heap)
+            if node not in pending:
+                continue
+            current = latest_neighbor_finish(node, aux_graph, schedule)
+            if current == key:
+                return node
+            if current is not None:
+                heapq.heappush(heap, (current, node))
+        return None
+
+    heap = keyed(sorted(pending))
+    heapq.heapify(heap)
     while pending:
-        keyed = [
-            (node, latest_neighbor_finish(node, aux_graph, schedule))
-            for node in sorted(pending)
-        ]
-        with_neighbors = [(n, f) for n, f in keyed if f is not None]
-        if with_neighbors:
-            node, _ = min(with_neighbors, key=lambda pair: (pair[1], pair[0]))
-        else:
+        node = pop_current()
+        if node is None:
             # No candidate touches the scheduled core: fall back.
             node = min(pending)
             pending.discard(node)
@@ -134,6 +174,7 @@ def extend_schedule(
                 )
                 schedule.append_stop(shortest, node)
                 outcome[node] = "appended"
+                push_neighbors(node)
             continue
         pending.discard(node)
         if schedule.fully_covered(node):
@@ -141,6 +182,18 @@ def extend_schedule(
             continue
         case = insertion_case(node, aux_graph, schedule)
         tour_index, anchor = choose_insertion_anchor(node, aux_graph, schedule)
+        tour = schedule.tours[tour_index]
+        downstream = tour[tour.index(anchor) + 1:]
+        before = [schedule.finish[v] for v in downstream]
         schedule.insert_stop_after(tour_index, anchor, node)
         outcome[node] = f"case{case}"
+        if any(
+            schedule.finish[v] < was for v, was in zip(downstream, before)
+        ):
+            # Rounding shortened a downstream leg: stored keys may now
+            # exceed current ones, so re-key everything.
+            heap[:] = keyed(sorted(pending))
+            heapq.heapify(heap)
+        else:
+            push_neighbors(node)
     return outcome

@@ -9,7 +9,8 @@ A :class:`ChargingSchedule` is the mutable object Algorithm 1 builds:
   fixed at insertion time, exactly as in the paper);
 * per stop, the charging *finish time* ``f(v)`` — Eq. (6)/(11)/(12):
   the running sum of travel legs and charging durations along the
-  tour, recomputed downstream of every insertion;
+  tour, recomputed from the changed position onward after every
+  mutation (the stops before it keep their times);
 * the coverage relation: which stop charges which sensor.
 
 The schedule also supports per-stop *waiting times*, used by the
@@ -217,10 +218,11 @@ class ChargingSchedule:
         self._check_new_node(node)
         self.duration[node] = self.residual_duration(node)
         self._claim_coverage(node)
-        self.tours[tour_index].append(node)
+        tour = self.tours[tour_index]
+        tour.append(node)
         self.tour_of[node] = tour_index
         self.wait[node] = 0.0
-        self.recompute_finish_times(tour_index)
+        self._recompute_suffix(tour_index, len(tour) - 1)
 
     def insert_stop_after(
         self, tour_index: int, anchor: Optional[int], node: int
@@ -230,8 +232,8 @@ class ChargingSchedule:
 
         This is the insertion primitive of Algorithm 1's extension step
         (cases (i) and (ii)): the duration is Eq. (10)'s residual
-        ``τ'``, and finish times downstream of the insertion point are
-        recomputed per Eqs. (11)–(12).
+        ``τ'``, and finish times from the insertion point onward are
+        recomputed per Eqs. (11)–(12); the stops before it keep theirs.
         """
         self._check_new_node(node)
         if anchor is not None and self.tour_of.get(anchor) != tour_index:
@@ -245,7 +247,7 @@ class ChargingSchedule:
         tour.insert(idx, node)
         self.tour_of[node] = tour_index
         self.wait[node] = 0.0
-        self.recompute_finish_times(tour_index)
+        self._recompute_suffix(tour_index, idx)
 
     def _check_new_node(self, node: int) -> None:
         if node in self.tour_of:
@@ -270,7 +272,9 @@ class ChargingSchedule:
         if node not in self.tour_of:
             raise ValueError(f"node {node} is not scheduled")
         tour_index = self.tour_of.pop(node)
-        self.tours[tour_index].remove(node)
+        tour = self.tours[tour_index]
+        idx = tour.index(node)
+        del tour[idx]
         self.arrival.pop(node, None)
         self.finish.pop(node, None)
         self.wait.pop(node, None)
@@ -278,7 +282,7 @@ class ChargingSchedule:
             for sensor in self.charges.pop(node, frozenset()):
                 self.charged_by.pop(sensor, None)
             self.duration.pop(node, None)
-        self.recompute_finish_times(tour_index)
+        self._recompute_suffix(tour_index, idx)
 
     def reinsert_stop(
         self, tour_index: int, anchor: Optional[int], node: int
@@ -306,7 +310,7 @@ class ChargingSchedule:
         tour.insert(idx, node)
         self.tour_of[node] = tour_index
         self.wait[node] = 0.0
-        self.recompute_finish_times(tour_index)
+        self._recompute_suffix(tour_index, idx)
 
     def copy(self) -> "ChargingSchedule":
         """An independent copy sharing the immutable instance data.
@@ -344,7 +348,10 @@ class ChargingSchedule:
         if node not in self.tour_of:
             raise ValueError(f"node {node} is not scheduled")
         self.wait[node] += extra_wait_s
-        self.recompute_finish_times(self.tour_of[node])
+        tour_index = self.tour_of[node]
+        self._recompute_suffix(
+            tour_index, self.tours[tour_index].index(node)
+        )
 
     # ------------------------------------------------------------------
     # Finish times (Eqs. 6, 11, 12)
@@ -356,9 +363,21 @@ class ChargingSchedule:
         ``f(v_l) = f(v_{l-1}) + travel(v_{l-1}, v_l) + wait(v_l)
         + τ'(v_l)`` with ``f(depot) = 0``.
         """
-        clock = 0.0
-        prev: Optional[int] = None
-        for node in self.tours[tour_index]:
+        self._recompute_suffix(tour_index, 0)
+
+    def _recompute_suffix(self, tour_index: int, start: int) -> None:
+        """:meth:`recompute_finish_times` from position ``start`` on.
+
+        The clock is seeded with the predecessor's stored finish time,
+        which is the running sum a full pass would have reached there,
+        so every float matches a full recompute exactly. Requires the
+        stops before ``start`` to be current — true after every
+        mutating method of this class.
+        """
+        tour = self.tours[tour_index]
+        prev: Optional[int] = tour[start - 1] if start > 0 else None
+        clock = 0.0 if prev is None else self.finish[prev]
+        for node in tour[start:]:
             clock += self.travel_time(prev, node)
             self.arrival[node] = clock
             clock += self.wait[node] + self.duration[node]

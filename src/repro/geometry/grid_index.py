@@ -1,10 +1,19 @@
-"""Uniform grid spatial index for fixed-radius neighbour queries.
+"""Spatial index for fixed-radius neighbour queries.
 
-Building the charging graph ``G_c`` requires, for each of up to ~1200
-sensors, all other sensors within the charging radius ``γ``. A naive
-all-pairs scan is O(n²); the :class:`GridIndex` buckets points into
-square cells of side ``cell_size`` so a radius-``r`` query only visits
-the O((r / cell_size + 1)²) cells around the query point.
+Building the charging graph ``G_c`` and the coverage sets requires,
+for every sensor, all other sensors within the charging radius ``γ``.
+A naive all-pairs scan is O(n²). :class:`GridIndex` answers the query
+two ways:
+
+* :meth:`GridIndex.within` (one center) buckets points into square
+  cells of side ``cell_size``, so a radius-``r`` query only visits the
+  O((r / cell_size + 1)²) cells around the query point;
+* :meth:`GridIndex.within_bulk` (many centers) builds one
+  ``scipy.spatial.cKDTree`` over the points on first use, gathers
+  every center's candidates in one slightly padded tree-to-tree pair
+  query, then keeps exactly those that pass the same
+  ``hypot(...) <= r`` test. The cost is O((n + m) log n + output) for
+  m centers instead of O(n·m).
 
 The index is immutable after construction, matching its use: WRSN
 deployments are static for the lifetime of a scheduling instance.
@@ -16,15 +25,20 @@ import math
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from repro.geometry.distance import euclidean
 from repro.geometry.point import PointLike
 
 _Cell = Tuple[int, int]
 
-#: Centers per broadcast block in :meth:`GridIndex.within_bulk` — bounds
-#: the (centers × points) distance matrix to a few MB.
-_BULK_CHUNK = 512
+#: Relative and absolute padding of the kd-tree query radius in
+#: :meth:`GridIndex.within_bulk`. The tree compares sums of squares,
+#: whose rounding differs from ``hypot`` by a few ulps; the padding
+#: makes its candidate set a superset of the exact ``hypot`` disk,
+#: which the exact test then trims.
+_BALL_PAD_REL = 1e-9
+_BALL_PAD_ABS_M = 1e-12
 
 
 class GridIndex:
@@ -48,9 +62,10 @@ class GridIndex:
             x, y = pos
             self._positions[label] = (float(x), float(y))
             self._cells.setdefault(self._cell_of(x, y), []).append(label)
-        # Dense views for within_bulk, built on first use.
-        self._bulk_labels: Optional[List[Hashable]] = None
+        # Dense views and kd-tree for within_bulk, built on first use.
+        self._bulk_labels: Optional[np.ndarray] = None
         self._bulk_coords: Optional[np.ndarray] = None
+        self._bulk_tree: Optional[cKDTree] = None
 
     def _cell_of(self, x: float, y: float) -> _Cell:
         return (math.floor(x / self._cell_size), math.floor(y / self._cell_size))
@@ -97,50 +112,79 @@ class GridIndex:
                         found.append(label)
         return found
 
-    def _bulk_view(self) -> Tuple[List[Hashable], np.ndarray]:
-        """Label list + coordinate array views, built on first use."""
-        labels, coords = self._bulk_labels, self._bulk_coords
-        if labels is None or coords is None:
-            labels = list(self._positions)
+    def _bulk_view(self) -> Tuple[np.ndarray, np.ndarray, cKDTree]:
+        """Label array (dtype object), coordinate array and kd-tree,
+        built on first use."""
+        labels, coords, tree = (
+            self._bulk_labels, self._bulk_coords, self._bulk_tree
+        )
+        if labels is None or coords is None or tree is None:
+            labels = np.empty(len(self._positions), dtype=object)
+            for i, label in enumerate(self._positions):
+                # Element-wise: a tuple label must stay one object.
+                labels[i] = label
             coords = np.asarray(
-                [self._positions[lab] for lab in labels], dtype=float
+                list(self._positions.values()), dtype=float
             ).reshape(-1, 2)
+            tree = cKDTree(coords)
             self._bulk_labels, self._bulk_coords = labels, coords
-        return labels, coords
+            self._bulk_tree = tree
+        return labels, coords, tree
 
     def within_bulk(
         self, centers: Sequence[PointLike], radius_m: float
     ) -> List[List[Hashable]]:
-        """:meth:`within` for many centers at once, vectorised.
+        """:meth:`within` for many centers at once.
 
-        One numpy broadcast per block of centers replaces the per-point
-        Python loop — the win that makes bulk coverage queries cheap.
-        Membership is identical to per-center :meth:`within` calls
-        (``np.hypot`` and ``math.hypot`` both defer to the platform's
-        IEEE ``hypot``, and the ``d <= radius_m`` boundary is the
-        same); only the order *within* each result list differs (index
-        insertion order rather than cell-scan order).
+        A kd-tree pair query between the centers and the cached point
+        tree at a padded radius (``r·(1 + 1e-9) + 1e-12``) gathers a
+        superset of each center's disk; the candidates are then kept
+        only if ``np.hypot(cx - x, cy - y) <= radius_m``, the inclusive
+        boundary of :meth:`within`. (``np.hypot`` and :meth:`within`'s
+        ``math.hypot`` can differ in the last ulp, so the two methods
+        may disagree on a point within an ulp of the rim.) Each result
+        list is in index insertion order (ascending position in the
+        mapping the index was built from) rather than :meth:`within`'s
+        cell-scan order. The padding covers the tree's sum-of-squares
+        rounding for any coordinates whose squared differences stay
+        finite (|Δ| below ~1e154 m).
 
         Returns:
             One label list per center, in ``centers`` order.
         """
         if radius_m < 0:
             raise ValueError(f"radius must be non-negative, got {radius_m}")
-        labels, coords = self._bulk_view()
         centers_arr = np.asarray(
             [(float(c[0]), float(c[1])) for c in centers], dtype=float
         ).reshape(-1, 2)
-        out: List[List[Hashable]] = []
-        if len(labels) == 0:
+        if len(self._positions) == 0:
             return [[] for _ in range(len(centers_arr))]
-        for start in range(0, len(centers_arr), _BULK_CHUNK):
-            block = centers_arr[start:start + _BULK_CHUNK]
-            dists = np.hypot(
-                block[:, 0, None] - coords[None, :, 0],
-                block[:, 1, None] - coords[None, :, 1],
-            )
-            for row in dists <= radius_m:
-                out.append([labels[i] for i in np.nonzero(row)[0]])
+        if len(centers_arr) == 0:
+            return []
+        labels, coords, tree = self._bulk_view()
+        padded = radius_m * (1.0 + _BALL_PAD_REL) + _BALL_PAD_ABS_M
+        # Every (center, point) pair within the padded radius, as one
+        # structured array — no per-center Python lists.
+        pairs = cKDTree(centers_arr).sparse_distance_matrix(
+            tree, padded, output_type="ndarray"
+        )
+        rows = pairs["i"].astype(np.int64)
+        cand = pairs["j"].astype(np.int64)
+        order = np.argsort(rows * len(labels) + cand, kind="stable")
+        rows, cand = rows[order], cand[order]
+        keep = np.hypot(
+            centers_arr[rows, 0] - coords[cand, 0],
+            centers_arr[rows, 1] - coords[cand, 1],
+        ) <= radius_m
+        hits = labels[cand[keep]].tolist()
+        bounds = np.cumsum(
+            np.bincount(rows[keep], minlength=len(centers_arr))
+        )
+        out: List[List[Hashable]] = []
+        start = 0
+        for stop in bounds.tolist():
+            out.append(hits[start:stop])
+            start = stop
         return out
 
     def neighbors_of(self, label: Hashable, radius_m: float) -> List[Hashable]:

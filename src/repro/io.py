@@ -32,6 +32,12 @@ WRSN_FORMAT = "repro-wrsn/1"
 #: distinguish a scheduled wait from slow travel without re-deriving it
 #: from ``start_s - arrival_s`` float arithmetic.
 SCHEDULE_FORMAT = "repro-schedule/2"
+#: Longest field side :func:`wrsn_from_dict` accepts, in metres. The
+#: paper's field is 1 km on a side. Far larger coordinates make the
+#: rounding noise of a distance delta exceed the local-search kernels'
+#: ``min_gain`` (1e-9), and Or-opt then keeps accepting noise-sized
+#: "improvements" without end; at 1e5 m the noise stays well under it.
+MAX_FIELD_SIDE_M = 1e5
 #: One planning job of the batch service (:mod:`repro.serve`): planner
 #: name, request set, ``K``, and a network carried inline, by label
 #: reference, or by instance-file path.
@@ -137,12 +143,38 @@ def _check_finite(data: Dict) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _check_contained(
+    field: Field, base_station: Point, depot: Point, sensors: List[Sensor]
+) -> None:
+    """Refuse a field side above :data:`MAX_FIELD_SIDE_M` and any node
+    outside the declared field, by field name (``sensors[i]`` counts in
+    document order)."""
+    for name, side in (("field.width", field.width),
+                       ("field.height", field.height)):
+        if side > MAX_FIELD_SIDE_M:
+            raise ValueError(
+                f"{name} is {side!r} m; at most {MAX_FIELD_SIDE_M:g} m "
+                f"is supported"
+            )
+    points = [("base_station", base_station), ("depot", depot)] + [
+        (f"sensors[{i}]", sensor.position) for i, sensor in enumerate(sensors)
+    ]
+    for name, point in points:
+        if not field.contains(point):
+            raise ValueError(
+                f"{name} at ({point.x!r}, {point.y!r}) lies outside the "
+                f"{field.width:g} x {field.height:g} m field"
+            )
+
+
 def wrsn_from_dict(data: Dict) -> WRSN:
     """Rebuild a WRSN instance from :func:`wrsn_to_dict` output.
 
     Raises:
-        ValueError: on a missing or unknown format tag, or a
-            non-finite number (NaN, ±inf) in any field.
+        ValueError: on a missing or unknown format tag, a non-finite
+            number (NaN, ±inf) in any field, a field side longer than
+            :data:`MAX_FIELD_SIDE_M`, or a sensor, base station or depot
+            outside the declared field.
     """
     if data.get("format") != WRSN_FORMAT:
         raise ValueError(
@@ -163,15 +195,17 @@ def wrsn_from_dict(data: Dict) -> WRSN:
     ]
     bs = Point(*data["base_station"])
     depot = Point(*data["depot"])
+    field = Field(
+        width=float(data["field"]["width"]),
+        height=float(data["field"]["height"]),
+    )
+    _check_contained(field, bs, depot, sensors)
     return WRSN(
         sensors=sensors,
         base_station=BaseStation(position=bs),
         depot=Depot(position=depot),
         comm_range_m=float(data["comm_range_m"]),
-        field=Field(
-            width=float(data["field"]["width"]),
-            height=float(data["field"]["height"]),
-        ),
+        field=field,
     )
 
 

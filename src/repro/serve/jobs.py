@@ -210,10 +210,22 @@ class JobStreamReader:
     drive this class — the daemon keeps one reader per connection, so
     a stream of jobs can inline each network once and reference it for
     the rest of the session.
+
+    Args:
+        base_dir: directory that relative ``network_path`` entries
+            resolve against (the job file's own directory).
+        allow_network_path: when false, a ``network_path`` record is
+            refused before any file is touched — the setting for
+            readers fed by remote clients.
     """
 
-    def __init__(self, base_dir: Optional[PathLike] = None):
+    def __init__(
+        self,
+        base_dir: Optional[PathLike] = None,
+        allow_network_path: bool = True,
+    ):
         self.base_dir = base_dir
+        self.allow_network_path = allow_network_path
         self._by_label: Dict[str, WRSN] = {}
         self._by_path: Dict[str, WRSN] = {}
 
@@ -222,7 +234,8 @@ class JobStreamReader:
 
         Raises:
             ValueError: on a wrong format tag, a dangling
-                ``network_ref``, a record with no network at all, an
+                ``network_ref``, a record with no network at all, a
+                ``network_path`` on a reader that refuses them, an
                 empty request set, or malformed field values.
         """
         if not isinstance(record, dict):
@@ -249,6 +262,11 @@ class JobStreamReader:
                 )
             network = self._by_label[label]
         elif "network_path" in record:
+            if not self.allow_network_path:
+                raise ValueError(
+                    f"job line {lineno}: network_path is not accepted "
+                    f"on this connection; send the network inline"
+                )
             raw_path = str(record["network_path"])
             resolved = (
                 str(Path(self.base_dir) / raw_path)

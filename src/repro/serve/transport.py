@@ -2,13 +2,14 @@
 
 The wire protocol is the repo's existing line formats, reused verbatim:
 clients send ``repro-job/1`` records (inline ``network``,
-``network_ref`` back-references — scoped per connection — or
-``network_path``), optionally extended with a ``deadline_s`` latency
-budget for admission control, and receive one ``repro-result/1`` line
-per input line **in input order**: planned results, structured
-rejections, and per-line parse errors all flow through the same
-ordered stream, so a client can zip its requests against the responses
-without bookkeeping.
+``network_ref`` back-references — scoped per connection — or, on the
+stdio session only, ``network_path``: a socket client must not make the
+daemon read files of its choosing), optionally extended with a
+``deadline_s`` latency budget for admission control, and receive one
+``repro-result/1`` line per input line **in input order**: planned
+results, structured rejections, and per-line parse errors all flow
+through the same ordered stream, so a client can zip its requests
+against the responses without bookkeeping.
 
 Control lines are JSON objects carrying an ``"op"`` key instead of a
 job format tag; ``{"op": "status"}`` answers with the daemon's
@@ -50,11 +51,15 @@ class DaemonSession:
     ``network_ref`` labels resolve within the connection) and the
     ordered pending list that guarantees the one-response-per-line
     contract. Not thread-safe; each connection gets its own session.
+    With ``allow_network_path=False`` a ``network_path`` record is
+    answered with the per-line error and no file is opened.
     """
 
-    def __init__(self, daemon: PlanningDaemon):
+    def __init__(
+        self, daemon: PlanningDaemon, allow_network_path: bool = True
+    ):
         self.daemon = daemon
-        self.reader = JobStreamReader()
+        self.reader = JobStreamReader(allow_network_path=allow_network_path)
         #: Responses in input order: resolved dicts or live tickets.
         self._pending: List[Union[Dict, JobTicket]] = []
 
@@ -153,7 +158,9 @@ def serve_stream(
 class _SessionHandler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
         daemon = self.server.daemon  # type: ignore[attr-defined]
-        session = DaemonSession(daemon)
+        # Any local process that can reach the socket is a client: it
+        # must not choose files for the daemon to read.
+        session = DaemonSession(daemon, allow_network_path=False)
         for lineno, raw_bytes in enumerate(self.rfile, start=1):
             raw = raw_bytes.decode("utf-8", errors="replace")
             for out in session.handle_line(raw, lineno):

@@ -1,6 +1,7 @@
 """Byte-parity of the vectorised coverage path against the loop path.
 
-``GridIndex.within_bulk`` (numpy broadcast) replaced per-candidate
+``GridIndex.within_bulk`` (a kd-tree ball query trimmed by the exact
+``hypot`` test) replaced per-candidate
 ``within`` loops in ``graphs.coverage.coverage_sets`` and
 ``PlanningContext.coverage_for``. These tests pin that the replacement
 changed *nothing observable*: identical membership on seeded random
@@ -64,7 +65,9 @@ class TestWithinBulk:
             index.within_bulk([(0.0, 0.0)], -1.0)
 
     def test_chunking_covers_all_centers(self):
-        # More centers than one broadcast block (512).
+        # Many centers in one call, including indices on both sides of
+        # the old 512-center broadcast block, which the kd-tree path no
+        # longer has.
         points = {i: (float(i % 40), float(i // 40)) for i in range(700)}
         index = GridIndex(points, cell_size=3.0)
         centers = [points[i] for i in range(700)]

@@ -3,10 +3,11 @@
 import io
 import json
 import threading
+import time
 
 import pytest
 
-from repro.io import JOB_FORMAT
+from repro.io import JOB_FORMAT, save_wrsn
 from repro.network.topology import random_wrsn
 from repro.serve import (
     DAEMON_STATUS_FORMAT,
@@ -104,6 +105,26 @@ class TestServeStream:
         for row in rows[:3]:
             assert "sensors[0].x must be finite" in row["error"]
 
+    def test_uncontained_network_gets_line_error_fast(self):
+        # A sensor at x = 1e150 in a 1e150 m field used to hang the
+        # worker inside Or-opt; the session now answers at once.
+        record = job_to_dict(
+            PlanJob(random_wrsn(num_sensors=40, seed=3), tuple(range(40)),
+                    2, "Appro", "huge")
+        )
+        record["network"]["field"]["width"] = 1e150
+        record["network"]["sensors"][5]["x"] = 1e150
+        wfile = io.StringIO()
+        with PlanningDaemon(DaemonConfig(workers=1)) as daemon:
+            started = time.perf_counter()
+            serve_stream(daemon, io.StringIO(json.dumps(record) + "\n"),
+                         wfile)
+            elapsed_s = time.perf_counter() - started
+        (row,) = [json.loads(x) for x in wfile.getvalue().splitlines()]
+        assert elapsed_s < 1.0
+        assert row["status"] == "error"
+        assert "field.width" in row["error"]
+
     def test_unknown_op_is_reported(self, net):
         wfile = io.StringIO()
         with PlanningDaemon(DaemonConfig(workers=1)) as daemon:
@@ -163,6 +184,63 @@ class TestSocketServer:
             finally:
                 server.shutdown()
                 server.close()
+
+    def test_network_path_refused_without_opening(
+        self, net, tmp_path, monkeypatch
+    ):
+        # A socket client must not make the daemon read a file of its
+        # choosing: the record gets the per-line error, no file is
+        # opened, and the session keeps serving the next line.
+        import repro.serve.jobs as jobs_module
+
+        save_wrsn(net, tmp_path / "inst.json")
+        opened = []
+        monkeypatch.setattr(
+            jobs_module, "load_wrsn", lambda path: opened.append(path)
+        )
+        line = json.dumps(
+            {
+                "format": JOB_FORMAT,
+                "network_path": str(tmp_path / "inst.json"),
+                "requests": [1, 2],
+                "id": "by-path",
+            }
+        )
+        path = str(tmp_path / "daemon.sock")
+        with PlanningDaemon(DaemonConfig(workers=1)) as daemon:
+            server = make_socket_server(daemon, path)
+            thread = threading.Thread(
+                target=server.serve_forever, daemon=True
+            )
+            thread.start()
+            try:
+                rows = [
+                    json.loads(x)
+                    for x in request(path, [line] + _job_lines(net, 1))
+                ]
+            finally:
+                server.shutdown()
+                server.close()
+        assert opened == []
+        assert rows[0]["status"] == "error"
+        assert "network_path" in rows[0]["error"]
+        assert rows[1]["id"] == "j0" and rows[1]["status"] == "ok"
+
+    def test_stdio_session_still_reads_network_path(self, net, tmp_path):
+        save_wrsn(net, tmp_path / "inst.json")
+        line = json.dumps(
+            {
+                "format": JOB_FORMAT,
+                "network_path": str(tmp_path / "inst.json"),
+                "requests": [1, 2],
+                "id": "by-path",
+            }
+        )
+        wfile = io.StringIO()
+        with PlanningDaemon(DaemonConfig(workers=1)) as daemon:
+            serve_stream(daemon, io.StringIO(line + "\n"), wfile)
+        (row,) = [json.loads(x) for x in wfile.getvalue().splitlines()]
+        assert row["status"] == "ok"
 
     def test_two_connections_share_warm_contexts(self, net, tmp_path):
         # Connection boundaries do not reset the daemon's caches: the

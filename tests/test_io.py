@@ -1,6 +1,7 @@
 """Unit tests for :mod:`repro.io`."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from repro.baselines.kedf import kedf_schedule
 from repro.core.appro import appro_schedule
 from repro.io import (
+    MAX_FIELD_SIDE_M,
     SCHEDULE_FORMAT,
     WRSN_FORMAT,
     load_schedule_report,
@@ -48,6 +50,35 @@ class TestWrsnRoundTrip:
     def test_wrong_format_rejected(self):
         with pytest.raises(ValueError, match="not a"):
             wrsn_from_dict({"format": "something-else"})
+
+    @pytest.mark.parametrize(
+        "edit, name",
+        [
+            ({"sensors.5.x": 1e150, "field.width": 1e150}, "field.width"),
+            ({"field.height": MAX_FIELD_SIDE_M * 2}, "field.height"),
+            ({"sensors.5.x": 1e308}, "sensors[5]"),
+            ({"sensors.0.y": -0.5}, "sensors[0]"),
+            ({"depot": [100.0, 100.5]}, "depot"),
+            ({"base_station": [-1.0, 3.0]}, "base_station"),
+        ],
+    )
+    def test_uncontained_geometry_rejected_by_name(self, edit, name):
+        data = wrsn_to_dict(random_wrsn(num_sensors=40, seed=3))
+        for key, value in edit.items():
+            target = data
+            *parents, leaf = key.split(".")
+            for part in parents:
+                target = target[int(part) if part.isdigit() else part]
+            target[int(leaf) if leaf.isdigit() else leaf] = value
+        with pytest.raises(ValueError, match=re.escape(name)):
+            wrsn_from_dict(data)
+
+    def test_field_at_the_size_limit_accepted(self):
+        data = wrsn_to_dict(random_wrsn(num_sensors=10, seed=1))
+        data["field"]["width"] = MAX_FIELD_SIDE_M
+        data["sensors"][0]["x"] = MAX_FIELD_SIDE_M  # boundary inclusive
+        clone = wrsn_from_dict(data)
+        assert clone.field.width == MAX_FIELD_SIDE_M
 
     def test_json_is_plain_data(self, small_net):
         text = json.dumps(wrsn_to_dict(small_net))

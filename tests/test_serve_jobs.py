@@ -2,6 +2,7 @@
 
 import json
 import re
+import time
 
 import pytest
 
@@ -161,6 +162,37 @@ class TestLoaderErrors:
         record = json.loads(json.dumps(record))  # NaN/Infinity tokens
         with pytest.raises(ValueError, match=re.escape(f"{name} must be")):
             JobStreamReader().job_from_record(record, 1)
+
+
+class TestUncontainedNetworks:
+    """Coordinates far outside the declared field used to send Or-opt
+    into an endless loop of noise-sized gains; they now stop at the
+    reader with the per-line error."""
+
+    @pytest.mark.parametrize(
+        "width, x, name",
+        [(1e150, 1e150, "field.width"), (100.0, 1e308, "sensors[5]")],
+    )
+    def test_rejected_per_line_within_a_second(self, width, x, name):
+        record = job_to_dict(
+            PlanJob(
+                network=random_wrsn(num_sensors=40, seed=3),
+                request_ids=tuple(range(40)),
+                num_chargers=2,
+                planner="Appro",
+                job_id="huge",
+            )
+        )
+        record["network"]["field"]["width"] = width
+        record["network"]["sensors"][5]["x"] = x
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match=re.escape(name)):
+            JobStreamReader().job_from_record(record, 1)
+        jobs, errors = jobs_from_lines([json.dumps(record)])
+        assert time.perf_counter() - started < 1.0
+        assert jobs == []
+        row = errors[0].to_result_dict()
+        assert row["status"] == "error" and name in row["error"]
 
 
 class TestLenientLoading:
