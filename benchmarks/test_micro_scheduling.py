@@ -81,7 +81,7 @@ def test_bench_charging_graph(benchmark, instance):
     graph = benchmark(
         lambda: build_charging_graph(positions, 2.7)
     )
-    assert graph.number_of_nodes() == N
+    assert len(graph) == N
 
 
 def test_bench_mis(benchmark, instance):

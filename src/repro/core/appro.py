@@ -30,7 +30,7 @@ negligible delay (see ``EXPERIMENTS.md``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import networkx as nx
 
@@ -39,10 +39,10 @@ from repro.core.schedule import ChargingSchedule
 from repro.core.validation import resolve_conflicts
 from repro.energy.charging import ChargerSpec, full_charge_time
 from repro.geometry.distcache import DistanceCache
+from repro.geometry.point import Point
 from repro.graphs.auxiliary import auxiliary_max_degree, build_auxiliary_graph
-from repro.graphs.coverage import coverage_sets
 from repro.graphs.mis import maximal_independent_set
-from repro.graphs.unit_disk import build_charging_graph
+from repro.graphs.unit_disk import ChargingGraph, build_charging_graph
 from repro.network.topology import WRSN
 from repro.tours.kminmax import solve_k_minmax_tours
 
@@ -52,7 +52,8 @@ class ApproArtifacts:
     """Intermediate structures of one ``Appro`` run, for inspection.
 
     Attributes:
-        charging_graph: ``G_c``.
+        charging_graph_arrays: ``G_c`` as the array
+            :class:`~repro.graphs.unit_disk.ChargingGraph`.
         sojourn_candidates: the MIS ``S_I``.
         aux_graph: the conflict graph ``H``.
         conflict_free_core: the MIS ``V'_H`` of ``H``.
@@ -63,9 +64,11 @@ class ApproArtifacts:
             loop (``skipped`` / ``case1`` / ``case2`` / ``appended``).
         waits_inserted: number of waits added by conflict resolution
             (0 when the paper's construction was already feasible).
+        positions: sensor positions of the run, for
+            :attr:`charging_graph`.
     """
 
-    charging_graph: nx.Graph
+    charging_graph_arrays: Optional[ChargingGraph]
     sojourn_candidates: List[int]
     aux_graph: nx.Graph
     conflict_free_core: List[int]
@@ -73,6 +76,23 @@ class ApproArtifacts:
     initial_longest_delay_s: float
     insertion_outcomes: Dict[int, str] = field(default_factory=dict)
     waits_inserted: int = 0
+    positions: Mapping[int, Point] = field(default_factory=dict)
+    #: (arrays, networkx view built from them), filled on first access.
+    _nx_view: Optional[Tuple[ChargingGraph, nx.Graph]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def charging_graph(self) -> nx.Graph:
+        """``G_c`` as a ``networkx`` graph, built from
+        :attr:`charging_graph_arrays` on first access (the run itself
+        never builds it)."""
+        arrays = self.charging_graph_arrays
+        if arrays is None:
+            return nx.Graph()
+        if self._nx_view is None or self._nx_view[0] is not arrays:
+            self._nx_view = (arrays, arrays.to_networkx(self.positions))
+        return self._nx_view[1]
 
 
 def appro_schedule(
@@ -138,7 +158,7 @@ def appro_schedule(
         charge_times = context.charge_times_for(requests)
 
         # Steps 1-4 from the context's memos.
-        charging_graph = context.charging_graph
+        charging_graph = context.charging_graph_arrays
         sojourn_candidates = context.sojourn_candidates(mis_strategy, seed)
         coverage = context.coverage_for(sojourn_candidates)
         aux_graph = context.auxiliary_graph(mis_strategy, seed)
@@ -160,12 +180,7 @@ def appro_schedule(
         sojourn_candidates = maximal_independent_set(
             charging_graph, strategy=mis_strategy, seed=seed
         )
-        coverage = coverage_sets(
-            sojourn_candidates,
-            positions,
-            spec.charge_radius_m,
-            targets=requests,
-        )
+        coverage = charging_graph.closed_neighborhoods(sojourn_candidates)
 
         # Steps 3-4: conflict graph and its conflict-free core.
         aux_graph = build_auxiliary_graph(
@@ -239,7 +254,8 @@ def appro_schedule(
         waits = resolve_conflicts(schedule)
 
     if artifacts is not None:
-        artifacts.charging_graph = charging_graph
+        artifacts.charging_graph_arrays = charging_graph
+        artifacts.positions = positions
         artifacts.sojourn_candidates = list(sojourn_candidates)
         artifacts.aux_graph = aux_graph
         artifacts.conflict_free_core = list(core)
@@ -259,7 +275,7 @@ def appro_schedule_with_artifacts(
     """Like :func:`appro_schedule` but also returns the intermediate
     structures of the run."""
     shell = ApproArtifacts(
-        charging_graph=nx.Graph(),
+        charging_graph_arrays=None,
         sojourn_candidates=[],
         aux_graph=nx.Graph(),
         conflict_free_core=[],

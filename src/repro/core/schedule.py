@@ -106,10 +106,13 @@ class ChargingSchedule:
         #: ``(sensor, stop) -> charge seconds``. The default ignores
         #: the stop — the paper's Eq. (1); a distance-aware efficiency
         #: model (repro.energy.efficiency) makes it stop-dependent.
+        #: It closes over the dict, not ``self``: a self-reference
+        #: would make every schedule a reference cycle that lingers
+        #: until a full garbage collection.
         self._pair_time: Callable[[int, int], float] = (
             pairwise_charge_time
             if pairwise_charge_time is not None
-            else (lambda sensor, stop: self.charge_times[sensor])
+            else (lambda sensor, stop: charge_times[sensor])
         )
         self.charger = charger
         self.tours: List[List[int]] = [[] for _ in range(num_tours)]

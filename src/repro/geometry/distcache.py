@@ -22,6 +22,7 @@ other sentinels wrap the cache, see ``repro.tours.tsp.build_tsp_order``).
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Hashable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -96,9 +97,10 @@ class DistanceCache:
         tour engine canonicalises the order, so all kernels over one
         node set share a single build) and must not be mutated.
 
-        Every entry is produced by :func:`repro.geometry.distance.
-        euclidean` — ``math.hypot``, evaluated pairwise in a Python
-        loop, **not** a numpy broadcast. CPython's ``math.hypot`` is a
+        Every entry is the float :func:`repro.geometry.distance.
+        euclidean` returns — ``math.hypot(ax - bx, ay - by)``, evaluated
+        pairwise in a Python loop over coordinates unpacked once,
+        **not** a numpy broadcast. CPython's ``math.hypot`` is a
         correctly-rounded algorithm that disagrees with ``np.hypot`` in
         the last ulp on ~0.6% of pairs (measured on this platform), and
         the array tour engine's byte-parity contract requires the cached
@@ -120,15 +122,15 @@ class DistanceCache:
             self.hits += 1
             return cached
         self.misses += 1
-        points = [self.position_of(label) for label in key]
-        points.append(self._depot)
+        points = [tuple(self.position_of(label)) for label in key]
+        points.append(tuple(self._depot))
         size = len(points)
         matrix = np.zeros((size, size), dtype=np.float64)
-        hypot = euclidean
+        hypot = math.hypot
         for i in range(size - 1):
-            origin = points[i]
+            ox, oy = points[i]
             matrix[i, i + 1 :] = [
-                hypot(origin, other) for other in points[i + 1 :]
+                hypot(ox - x, oy - y) for x, y in points[i + 1 :]
             ]
         matrix += matrix.T
         matrix.flags.writeable = False

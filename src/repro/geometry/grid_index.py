@@ -1,9 +1,8 @@
 """Spatial index for fixed-radius neighbour queries.
 
-Building the charging graph ``G_c`` and the coverage sets requires,
-for every sensor, all other sensors within the charging radius ``γ``.
-A naive all-pairs scan is O(n²). :class:`GridIndex` answers the query
-two ways:
+Coverage sets and disk queries need, for a center, all sensors within
+a radius (typically the charging radius ``γ``). A naive all-pairs scan
+is O(n²). :class:`GridIndex` answers the query two ways:
 
 * :meth:`GridIndex.within` (one center) buckets points into square
   cells of side ``cell_size``, so a radius-``r`` query only visits the
@@ -13,7 +12,9 @@ two ways:
   every center's candidates in one slightly padded tree-to-tree pair
   query, then keeps exactly those that pass the same
   ``hypot(...) <= r`` test. The cost is O((n + m) log n + output) for
-  m centers instead of O(n·m).
+  m centers instead of O(n·m). The charging graph ``G_c``
+  (:mod:`repro.graphs.unit_disk`) uses the same padding and test in
+  one self-pair query.
 
 The index is immutable after construction, matching its use: WRSN
 deployments are static for the lifetime of a scheduling instance.
@@ -39,6 +40,14 @@ _Cell = Tuple[int, int]
 #: which the exact test then trims.
 _BALL_PAD_REL = 1e-9
 _BALL_PAD_ABS_M = 1e-12
+
+
+def padded_radius(radius_m: float) -> float:
+    """The kd-tree query radius ``r·(1 + 1e-9) + 1e-12`` whose pairs
+    are a superset of the exact ``np.hypot(...) <= r`` disk for any
+    coordinates whose squared differences stay finite (|Δ| below
+    ~1e154 m)."""
+    return radius_m * (1.0 + _BALL_PAD_REL) + _BALL_PAD_ABS_M
 
 
 class GridIndex:
@@ -162,7 +171,7 @@ class GridIndex:
         if len(centers_arr) == 0:
             return []
         labels, coords, tree = self._bulk_view()
-        padded = radius_m * (1.0 + _BALL_PAD_REL) + _BALL_PAD_ABS_M
+        padded = padded_radius(radius_m)
         # Every (center, point) pair within the padded radius, as one
         # structured array — no per-center Python lists.
         pairs = cKDTree(centers_arr).sparse_distance_matrix(

@@ -1,10 +1,12 @@
 """Graph machinery of Algorithm 1.
 
 * :mod:`repro.graphs.unit_disk` — the charging graph ``G_c``: an edge
-  joins two to-be-charged sensors within the charging radius ``γ``.
+  joins two to-be-charged sensors within the charging radius ``γ``;
+  held as index arrays (:class:`ChargingGraph`) with a ``networkx``
+  view on request.
 * :mod:`repro.graphs.mis` — greedy maximal-independent-set algorithms
-  with pluggable tie-breaking (used twice in Algorithm 1, for ``S_I``
-  and for ``V'_H``).
+  with pluggable tie-breaking over integer adjacency (used twice in
+  Algorithm 1, for ``S_I`` and for ``V'_H``).
 * :mod:`repro.graphs.coverage` — charging-disk coverage sets
   ``N_c⁺(v)`` and coverage checks.
 * :mod:`repro.graphs.auxiliary` — the conflict graph ``H`` over ``S_I``
@@ -29,9 +31,10 @@ from repro.graphs.mis import (
     is_maximal_independent_set,
     maximal_independent_set,
 )
-from repro.graphs.unit_disk import build_charging_graph
+from repro.graphs.unit_disk import ChargingGraph, build_charging_graph
 
 __all__ = [
+    "ChargingGraph",
     "auxiliary_max_degree",
     "build_auxiliary_graph",
     "build_charging_graph",

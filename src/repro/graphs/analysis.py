@@ -23,9 +23,7 @@ from typing import Dict, Optional, Sequence
 
 from repro.energy.charging import ChargerSpec
 from repro.energy.consumption import RadioModel, sensor_power_draw
-from repro.geometry.grid_index import GridIndex
 from repro.graphs.auxiliary import auxiliary_max_degree, build_auxiliary_graph
-from repro.graphs.coverage import coverage_sets
 from repro.graphs.mis import maximal_independent_set
 from repro.graphs.unit_disk import build_charging_graph
 from repro.network.routing import build_routing_tree, relay_loads_bps
@@ -38,15 +36,13 @@ def disk_occupancy(
     radius_m: float,
 ) -> Dict[int, int]:
     """For each requested sensor: how many requested sensors (itself
-    included) lie within its charging disk."""
-    requests = sorted(set(request_ids))
-    index = GridIndex(
-        {sid: network.position_of(sid) for sid in requests},
-        cell_size=radius_m,
+    included) lie within its charging disk — its ``G_c`` degree plus
+    one, under ``G_c``'s membership rule."""
+    graph = build_charging_graph(
+        network.positions(), radius_m, nodes=request_ids
     )
     return {
-        sid: len(index.within(network.position_of(sid), radius_m))
-        for sid in requests
+        sid: degree + 1 for sid, degree in zip(graph.labels, graph.degrees())
     }
 
 
@@ -95,9 +91,7 @@ def structure_report(
         positions, spec.charge_radius_m, nodes=requests
     )
     candidates = maximal_independent_set(graph, strategy=mis_strategy)
-    coverage = coverage_sets(
-        candidates, positions, spec.charge_radius_m, targets=requests
-    )
+    coverage = graph.closed_neighborhoods(candidates)
     aux = build_auxiliary_graph(
         candidates, coverage, positions, spec.charge_radius_m
     )

@@ -8,32 +8,56 @@ MIS; any maximal independent set satisfies the analysis. We implement
 the classic sequential greedy with three selection strategies so their
 effect can be measured (see ``benchmarks/test_ablation_mis.py``):
 
-* ``"min_degree"`` — pick the lowest-degree remaining node; tends to
-  produce large independent sets (good coverage granularity).
-* ``"lexicographic"`` — ascending node id; deterministic and fast.
+* ``"min_degree"`` — pick the remaining node with the lowest residual
+  degree, ties to the lowest node label; tends to produce large
+  independent sets (good coverage granularity).
+* ``"lexicographic"`` — ascending node label; deterministic and fast.
 * ``"random"`` — uniformly random permutation (seeded).
+
+Every function accepts either a ``networkx`` graph or the array
+:class:`~repro.graphs.unit_disk.ChargingGraph`. Both become the same
+integer adjacency — node ``i`` is the ``i``-th label (``list(graph.nodes)``
+order for ``networkx``), row ``i`` lists its neighbours' indices — and
+one greedy core runs on it.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, List, Set
+from typing import Any, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 import networkx as nx
 import numpy as np
 
+from repro.graphs.unit_disk import ChargingGraph
+
 _STRATEGIES = ("min_degree", "lexicographic", "random")
+
+AnyGraph = Union[nx.Graph, ChargingGraph]
+
+
+def _adjacency(graph: AnyGraph) -> Tuple[Sequence[Any], List[List[int]]]:
+    """Node labels and, per node, its neighbours' indices."""
+    if isinstance(graph, ChargingGraph):
+        return graph.labels, graph.neighbor_lists()
+    labels = list(graph.nodes)
+    index = {node: i for i, node in enumerate(labels)}
+    adj = graph.adj
+    return labels, [[index[nbr] for nbr in adj[node]] for node in labels]
 
 
 def maximal_independent_set(
-    graph: nx.Graph,
+    graph: AnyGraph,
     strategy: str = "min_degree",
     seed: int = 0,
 ) -> List[int]:
     """Compute a maximal independent set of ``graph``.
 
     Args:
-        graph: any undirected graph; isolated nodes are always chosen.
+        graph: any undirected graph without self-loops, as a
+            ``networkx.Graph`` or a
+            :class:`~repro.graphs.unit_disk.ChargingGraph`; isolated
+            nodes are always chosen.
         strategy: one of ``"min_degree"``, ``"lexicographic"``,
             ``"random"``.
         seed: RNG seed for the ``"random"`` strategy.
@@ -48,80 +72,104 @@ def maximal_independent_set(
         raise ValueError(
             f"unknown MIS strategy {strategy!r}; expected one of {_STRATEGIES}"
         )
-    if strategy == "min_degree":
-        return _greedy_min_degree(graph)
-    if strategy == "lexicographic":
-        order = sorted(graph.nodes)
+    labels, rows = _adjacency(graph)
+    if strategy == "random":
+        # The shuffle permutes by position only, so shuffling indices
+        # visits the nodes exactly as shuffling list(graph.nodes) would.
+        order = list(range(len(labels)))
+        np.random.default_rng(seed).shuffle(order)
+        chosen = _greedy_in_order(rows, order)
     else:
-        rng = np.random.default_rng(seed)
-        order = list(graph.nodes)
-        rng.shuffle(order)
-    return _greedy_in_order(graph, order)
+        order = sorted(range(len(labels)), key=lambda i: labels[i])
+        if strategy == "min_degree":
+            chosen = _greedy_min_degree(rows, order)
+        else:
+            chosen = _greedy_in_order(rows, order)
+    return sorted(labels[i] for i in chosen)
 
 
-def _greedy_in_order(graph: nx.Graph, order: Iterable[int]) -> List[int]:
+def _greedy_in_order(rows: List[List[int]], order: Iterable[int]) -> List[int]:
     chosen: List[int] = []
-    blocked: Set[int] = set()
+    blocked = [False] * len(rows)
     for node in order:
-        if node in blocked:
+        if blocked[node]:
             continue
         chosen.append(node)
-        blocked.add(node)
-        blocked.update(graph.neighbors(node))
-    return sorted(chosen)
+        blocked[node] = True
+        for nbr in rows[node]:
+            blocked[nbr] = True
+    return chosen
 
 
-def _greedy_min_degree(graph: nx.Graph) -> List[int]:
-    """Greedy MIS selecting the minimum-residual-degree node each step.
+def _greedy_min_degree(rows: List[List[int]], order: List[int]) -> List[int]:
+    """Greedy MIS taking, each step, the remaining node with the least
+    ``(residual degree, position in order)``.
 
-    Implemented with a lazy heap: entries are re-pushed when their
-    degree snapshot is stale, giving O(m log n) overall.
+    The heap holds ``degree · n + position`` integers. A node whose
+    residual degree drops gets one new entry per step at its new
+    degree, which sorts before its older ones, so an entry that pops
+    with a stale degree belongs to a removed node and is skipped;
+    O(m log n) overall.
     """
-    degree = {node: graph.degree(node) for node in graph.nodes}
-    heap = [(deg, node) for node, deg in degree.items()]
+    n = len(rows)
+    degree = [len(row) for row in rows]
+    rank = [0] * n
+    for position, node in enumerate(order):
+        rank[node] = position
+    heap = [degree[node] * n + position for position, node in enumerate(order)]
     heapq.heapify(heap)
-    removed: Set[int] = set()
+    removed = [False] * n
     chosen: List[int] = []
     while heap:
-        deg, node = heapq.heappop(heap)
-        if node in removed:
-            continue
-        if deg != degree[node]:
-            heapq.heappush(heap, (degree[node], node))
+        deg, position = divmod(heapq.heappop(heap), n)
+        node = order[position]
+        if removed[node] or deg != degree[node]:
             continue
         chosen.append(node)
-        removed.add(node)
-        dropped = [nbr for nbr in graph.neighbors(node) if nbr not in removed]
-        removed.update(dropped)
-        # Shrink the residual degrees of second-hop neighbours.
+        removed[node] = True
+        dropped = [nbr for nbr in rows[node] if not removed[nbr]]
         for gone in dropped:
-            for nbr in graph.neighbors(gone):
-                if nbr not in removed:
+            removed[gone] = True
+        # Shrink the residual degrees of second-hop neighbours.
+        touched: Set[int] = set()
+        for gone in dropped:
+            for nbr in rows[gone]:
+                if not removed[nbr]:
                     degree[nbr] -= 1
-                    heapq.heappush(heap, (degree[nbr], nbr))
-    return sorted(chosen)
+                    touched.add(nbr)
+        for nbr in touched:
+            heapq.heappush(heap, degree[nbr] * n + rank[nbr])
+    return chosen
 
 
-def is_independent_set(graph: nx.Graph, nodes: Iterable[int]) -> bool:
-    """Whether ``nodes`` is an independent set of ``graph``."""
+def _members(
+    graph: AnyGraph, nodes: Iterable[int]
+) -> Tuple[List[List[int]], Optional[Set[int]]]:
+    """Adjacency rows and the index set of ``nodes`` (``None`` when a
+    node is not in the graph, or two of them are adjacent)."""
+    labels, rows = _adjacency(graph)
+    index = {node: i for i, node in enumerate(labels)}
     node_set = set(nodes)
-    if not node_set <= set(graph.nodes):
-        return False
-    return not any(
-        graph.has_edge(u, v) for u in node_set for v in graph.neighbors(u)
-        if v in node_set
-    )
+    if not node_set <= index.keys():
+        return rows, None
+    members = {index[node] for node in node_set}
+    if any(nbr in members for node in members for nbr in rows[node]):
+        return rows, None
+    return rows, members
 
 
-def is_maximal_independent_set(graph: nx.Graph, nodes: Iterable[int]) -> bool:
+def is_independent_set(graph: AnyGraph, nodes: Iterable[int]) -> bool:
+    """Whether ``nodes`` is an independent set of ``graph``."""
+    return _members(graph, nodes)[1] is not None
+
+
+def is_maximal_independent_set(graph: AnyGraph, nodes: Iterable[int]) -> bool:
     """Whether ``nodes`` is independent *and* maximal (no node outside
     the set could be added without breaking independence)."""
-    node_set = set(nodes)
-    if not is_independent_set(graph, node_set):
+    rows, members = _members(graph, nodes)
+    if members is None:
         return False
-    for node in graph.nodes:
-        if node in node_set:
-            continue
-        if not any(nbr in node_set for nbr in graph.neighbors(node)):
-            return False
-    return True
+    return all(
+        node in members or any(nbr in members for nbr in rows[node])
+        for node in range(len(rows))
+    )

@@ -19,10 +19,16 @@ computed by earlier rounds.
 
 All cached values are produced by exactly the same functions the
 un-contexted code paths call (``euclidean``, ``build_charging_graph``,
-``maximal_independent_set``, ``coverage_sets`` semantics,
+``maximal_independent_set``, ``ChargingGraph.closed_neighborhoods``,
 ``build_auxiliary_graph``, ``solve_k_minmax_tours``), so schedules
 built through a context are byte-identical to schedules built without
 one.
+
+``G_c`` is memoized as the array
+:class:`~repro.graphs.unit_disk.ChargingGraph`; the MIS and the
+coverage sets of request-set candidates read its rows. The
+``networkx`` view (:attr:`PlanningContext.charging_graph`) is built
+only when something asks for it — no planner does.
 """
 
 from __future__ import annotations
@@ -35,10 +41,9 @@ import numpy as np
 
 from repro.energy.charging import ChargerSpec, full_charge_time
 from repro.geometry.distcache import DistanceCache
-from repro.geometry.grid_index import GridIndex
 from repro.graphs.auxiliary import build_auxiliary_graph
 from repro.graphs.mis import maximal_independent_set
-from repro.graphs.unit_disk import build_charging_graph
+from repro.graphs.unit_disk import ChargingGraph, build_charging_graph
 from repro.network.topology import WRSN
 from repro.tours.arrays import (
     NodeIndexCodec,
@@ -106,8 +111,8 @@ class PlanningContext:
         self.memo_misses = 0
         self.invalidations = 0
         self._charge_times: Dict[int, float] = {}
-        self._charging_graph: Optional[nx.Graph] = None
-        self._grid_index: Optional[GridIndex] = None
+        self._charging_graph: Optional[ChargingGraph] = None
+        self._charging_graph_nx: Optional[nx.Graph] = None
         self._coverage: Dict[int, FrozenSet[int]] = {}
         self._mis: Dict[Tuple[str, int], List[int]] = {}
         self._stop_groups: Dict[
@@ -158,9 +163,10 @@ class PlanningContext:
         Eq. (1) charge times of the changed sensors, every memoized
         coverage set whose disk touches a changed sensor, and every
         ``sensor_stop_groups`` table that mentions one — and leaves the
-        geometry intact: the distance cache, ``G_c``, the grid index,
-        the MIS / auxiliary-graph / core memos and the dense-matrix
-        backend are all position-derived and survive untouched.
+        geometry intact: the distance cache, ``G_c`` (arrays and
+        ``networkx`` view), the MIS / auxiliary-graph / core memos and
+        the dense-matrix backend are all position-derived and survive
+        untouched.
 
         The ``_minmax`` memo keys embed every service weight, so stale
         tour solutions key-miss naturally once the changed charge times
@@ -225,8 +231,9 @@ class PlanningContext:
     # ------------------------------------------------------------------
 
     @property
-    def charging_graph(self) -> nx.Graph:
-        """``G_c``: the unit-disk charging graph over the request set."""
+    def charging_graph_arrays(self) -> ChargingGraph:
+        """``G_c``: the unit-disk charging graph over the request set,
+        as sorted labels plus CSR rows."""
         if self._charging_graph is None:
             self.memo_misses += 1
             self._charging_graph = build_charging_graph(
@@ -239,17 +246,18 @@ class PlanningContext:
         return self._charging_graph
 
     @property
-    def grid_index(self) -> GridIndex:
-        """Grid index over the request positions, cell = ``γ``."""
-        if self._grid_index is None:
+    def charging_graph(self) -> nx.Graph:
+        """``G_c`` as a ``networkx`` graph (``pos`` node attributes,
+        ``math.hypot`` edge weights), built from the arrays on first
+        access."""
+        if self._charging_graph_nx is None:
             self.memo_misses += 1
-            self._grid_index = GridIndex(
-                {t: self.positions[t] for t in self.requests},
-                cell_size=self.charger.charge_radius_m,
+            self._charging_graph_nx = self.charging_graph_arrays.to_networkx(
+                self.positions
             )
         else:
             self.memo_hits += 1
-        return self._grid_index
+        return self._charging_graph_nx
 
     def sojourn_candidates(
         self, mis_strategy: str = "min_degree", seed: int = 0
@@ -262,7 +270,7 @@ class PlanningContext:
             return list(cached)
         self.memo_misses += 1
         result = maximal_independent_set(
-            self.charging_graph, strategy=mis_strategy, seed=seed
+            self.charging_graph_arrays, strategy=mis_strategy, seed=seed
         )
         self._mis[key] = result
         return list(result)
@@ -275,10 +283,12 @@ class PlanningContext:
         Matches :func:`repro.graphs.coverage.coverage_sets` with the
         request set as targets: the requested sensors within the
         charging radius of the candidate's disk, plus the candidate
-        itself.
+        itself — read from the candidate's ``G_c`` row.
+
+        Raises:
+            KeyError: when a candidate is not in the request set.
         """
         out: Dict[int, FrozenSet[int]] = {}
-        radius_m = self.charger.charge_radius_m
         fresh: List[int] = []
         for cand in candidates:
             cached = self._coverage.get(cand)
@@ -289,17 +299,10 @@ class PlanningContext:
                 self.memo_misses += 1
                 fresh.append(cand)
         if fresh:
-            # All uncached candidates in one vectorised bulk query;
-            # membership matches per-candidate grid_index.within().
-            rows = self.grid_index.within_bulk(
-                [self.positions[cand] for cand in fresh], radius_m
-            )
-            for cand, row in zip(fresh, rows):
-                covered = set(row)
-                covered.add(cand)
-                frozen = frozenset(covered)
-                self._coverage[cand] = frozen
-                out[cand] = frozen
+            computed = self.charging_graph_arrays.closed_neighborhoods(fresh)
+            for cand in fresh:
+                self._coverage[cand] = computed[cand]
+                out[cand] = computed[cand]
         return out
 
     def sensor_stop_groups(

@@ -9,9 +9,12 @@ adjacency iteration order must be preserved exactly for downstream MIS
 passes to stay deterministic.
 
 :func:`snapshot_context` therefore captures the memoized fields into a
-plain-data :class:`ContextSnapshot` (graphs become explicit node/edge
-lists in insertion order), and :func:`restore_context` rebuilds a
-context around a network instance and re-injects every memo. A restored
+plain-data :class:`ContextSnapshot` (``G_c`` ships as its
+:class:`~repro.graphs.unit_disk.ChargingGraph` arrays, ``H`` as
+explicit node/edge lists in insertion order), and
+:func:`restore_context` rebuilds a context around a network instance
+and re-injects every memo. The ``networkx`` view of ``G_c`` does not
+ship; a restored context rebuilds it from the arrays if asked. A restored
 context answers every query from its memos — byte-identical to the
 warm original — and falls through to the ordinary lazy computations for
 anything not captured.
@@ -25,12 +28,13 @@ any structurally identical copy (e.g. one rebuilt from
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 import networkx as nx
 import numpy as np
 
 from repro.energy.charging import ChargerSpec
+from repro.graphs.unit_disk import ChargingGraph
 from repro.network.topology import WRSN
 from repro.pipeline.context import PlanningContext
 from repro.tours.arrays import NodeIndexCodec
@@ -61,13 +65,13 @@ class ContextSnapshot:
 
     Every field mirrors one memo of
     :class:`~repro.pipeline.context.PlanningContext`; all values are
-    picklable built-ins (graphs stored as node/edge lists).
+    picklable built-ins or arrays (``H`` stored as node/edge lists).
     """
 
     requests: Tuple[int, ...]
     charger: ChargerSpec
     charge_times: Dict[int, float] = field(default_factory=dict)
-    charging_graph: Any = None  # Optional[GraphData]
+    charging_graph: Optional[ChargingGraph] = None
     mis: Dict[Tuple[str, int], List[int]] = field(default_factory=dict)
     coverage: Dict[int, FrozenSet[int]] = field(default_factory=dict)
     stop_groups: Dict[Tuple[int, ...], Dict[int, Tuple[int, ...]]] = field(
@@ -97,11 +101,7 @@ def snapshot_context(context: PlanningContext) -> ContextSnapshot:
         requests=context.requests,
         charger=context.charger,
         charge_times=dict(context._charge_times),
-        charging_graph=(
-            _graph_to_data(context._charging_graph)
-            if context._charging_graph is not None
-            else None
-        ),
+        charging_graph=context._charging_graph,
         mis={k: list(v) for k, v in context._mis.items()},
         coverage=dict(context._coverage),
         stop_groups={k: dict(v) for k, v in context._stop_groups.items()},
@@ -141,8 +141,7 @@ def restore_context(
         share_distances=share_distances,
     )
     context._charge_times.update(snapshot.charge_times)
-    if snapshot.charging_graph is not None:
-        context._charging_graph = _graph_from_data(snapshot.charging_graph)
+    context._charging_graph = snapshot.charging_graph
     context._mis.update({k: list(v) for k, v in snapshot.mis.items()})
     context._coverage.update(snapshot.coverage)
     context._stop_groups.update(

@@ -1,5 +1,8 @@
 """Unit tests for :mod:`repro.core.schedule`."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.schedule import ChargingSchedule
@@ -53,6 +56,19 @@ class TestConstruction:
         assert sched.scheduled_stops() == []
         assert sched.longest_delay() == 0.0
         assert sched.covered_sensors() == set()
+
+    def test_freed_without_the_cyclic_collector(self):
+        # A schedule must not reference itself: one per planning round
+        # would otherwise pile up until a full collection.
+        sched = make_schedule()
+        sched.append_stop(0, 1)
+        ref = weakref.ref(sched)
+        gc.disable()
+        try:
+            del sched
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestDurations:

@@ -1,5 +1,6 @@
 """Unit tests for :mod:`repro.geometry.distcache`."""
 
+import numpy as np
 import pytest
 
 from repro.geometry.distance import euclidean
@@ -61,3 +62,60 @@ class TestMemoization:
         cache(1, 2)
         assert len(cache) == 4
         assert cache.stats()["pairs"] == 2
+
+
+class TestDenseMatrix:
+    @staticmethod
+    def _check(positions, depot):
+        cache = DistanceCache(positions, depot)
+        labels = list(positions)
+        matrix = cache.dense_matrix(labels)
+        points = [positions[label] for label in labels] + [depot]
+        want = np.zeros((len(points), len(points)))
+        for i, a in enumerate(points):
+            for j, b in enumerate(points):
+                if i != j:
+                    want[i, j] = euclidean(a, b)
+        # Byte-compare: every entry is the per-pair euclidean float.
+        assert matrix.tobytes() == want.tobytes()
+        for a in labels:
+            for b in labels:
+                if a != b:
+                    assert matrix[labels.index(a), labels.index(b)] == cache(
+                        a, b
+                    )
+
+    def test_negative_and_duplicate_coordinates(self):
+        positions = {
+            0: Point(-3.5, -2.0),
+            1: Point(-3.5, -2.0),
+            2: Point(-1e-9, 7.25),
+            3: Point(4.0, -0.1),
+            4: (-3.5, -2.0),
+        }
+        self._check(positions, Point(-1.0, -1.0))
+
+    def test_huge_field(self):
+        rng = np.random.default_rng(3)
+        positions = {
+            i: Point(float(x), float(y))
+            for i, (x, y) in enumerate(rng.uniform(0.0, 1e5, (60, 2)))
+        }
+        positions[60] = Point(1e5, 1e5)
+        positions[61] = Point(0.0, 1e5)
+        self._check(positions, Point(0.0, 0.0))
+
+    def test_near_rim_displacements(self):
+        # Points at the charging radius along many directions: the
+        # entries where np.hypot and math.hypot disagree must still be
+        # the math.hypot floats.
+        rng = np.random.default_rng(5)
+        radius_m = 2.7
+        positions = {0: Point(10.0, 10.0)}
+        for k, theta in enumerate(rng.uniform(0, 2 * np.pi, 120)):
+            positions[k + 1] = Point(
+                10.0 + radius_m * float(np.cos(theta)),
+                10.0 + radius_m * float(np.sin(theta)),
+            )
+        positions[200] = Point(10.0 + float(np.nextafter(radius_m, 0)), 10.0)
+        self._check(positions, Point(12.0, 9.0))

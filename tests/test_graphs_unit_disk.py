@@ -8,28 +8,34 @@ from repro.geometry.point import Point
 from repro.graphs.unit_disk import build_charging_graph
 
 
+def _nx_graph(positions, radius_m, nodes=None):
+    return build_charging_graph(positions, radius_m, nodes=nodes).to_networkx(
+        positions
+    )
+
+
 class TestBuildChargingGraph:
     def test_edge_rule_inclusive(self):
         positions = {0: Point(0, 0), 1: Point(0, 2.7), 2: Point(0, 5.5)}
-        graph = build_charging_graph(positions, radius_m=2.7)
+        graph = _nx_graph(positions, radius_m=2.7)
         assert graph.has_edge(0, 1)  # exactly at gamma
         assert not graph.has_edge(1, 2)  # 2.8 m apart
         assert not graph.has_edge(0, 2)
 
     def test_node_subset(self):
         positions = {0: Point(0, 0), 1: Point(1, 0), 2: Point(2, 0)}
-        graph = build_charging_graph(positions, radius_m=2.7, nodes=[0, 2])
+        graph = _nx_graph(positions, radius_m=2.7, nodes=[0, 2])
         assert set(graph.nodes) == {0, 2}
         assert graph.has_edge(0, 2)
 
     def test_positions_attached(self):
         positions = {0: Point(3, 4)}
-        graph = build_charging_graph(positions, radius_m=1.0)
+        graph = _nx_graph(positions, radius_m=1.0)
         assert graph.nodes[0]["pos"] == Point(3, 4)
 
     def test_edge_weights_are_distances(self):
         positions = {0: Point(0, 0), 1: Point(1.5, 2.0)}
-        graph = build_charging_graph(positions, radius_m=2.7)
+        graph = _nx_graph(positions, radius_m=2.7)
         assert graph[0][1]["weight"] == pytest.approx(2.5)
 
     def test_invalid_radius(self):
@@ -38,7 +44,8 @@ class TestBuildChargingGraph:
 
     def test_empty(self):
         graph = build_charging_graph({}, radius_m=1.0)
-        assert graph.number_of_nodes() == 0
+        assert len(graph) == 0
+        assert graph.to_networkx({}).number_of_nodes() == 0
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(6)
@@ -46,7 +53,7 @@ class TestBuildChargingGraph:
             i: Point(float(x), float(y))
             for i, (x, y) in enumerate(rng.uniform(0, 30, size=(80, 2)))
         }
-        graph = build_charging_graph(positions, radius_m=2.7)
+        graph = _nx_graph(positions, radius_m=2.7)
         for i in positions:
             for j in positions:
                 if i < j:
@@ -55,7 +62,7 @@ class TestBuildChargingGraph:
 
 
 class TestBulkParity:
-    """The within_bulk construction is byte-identical to the loop one.
+    """The array construction is byte-identical to the loop one.
 
     The loop reference below is the pre-vectorisation implementation
     (per-node ``neighbors_of`` scans); it is kept here, not in the
@@ -91,7 +98,7 @@ class TestBulkParity:
             i: Point(float(x), float(y))
             for i, (x, y) in enumerate(rng.uniform(0, 60, size=(150, 2)))
         }
-        bulk = build_charging_graph(positions, radius_m=2.7)
+        bulk = _nx_graph(positions, radius_m=2.7)
         loop = self._loop_reference(positions, radius_m=2.7)
         assert list(bulk.nodes) == list(loop.nodes)
         assert {n: bulk.nodes[n]["pos"] for n in bulk.nodes} == {
@@ -102,7 +109,7 @@ class TestBulkParity:
         )
         for u, v in loop.edges:
             # Exact float equality: both paths use the same hypot and
-            # the same Point.distance_to weight math.
+            # the same math.hypot weight math.
             assert bulk[u][v]["weight"] == loop[u][v]["weight"]  # repro-lint: disable=float-eq
 
     def test_downstream_mis_unchanged(self):

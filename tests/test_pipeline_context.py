@@ -72,7 +72,7 @@ class TestMemoizedValues:
             depleted_net.positions(),
             ctx.charger.charge_radius_m,
             nodes=requests,
-        )
+        ).to_networkx(depleted_net.positions())
         assert set(ctx.charging_graph.nodes) == set(direct.nodes)
         assert set(map(frozenset, ctx.charging_graph.edges)) == set(
             map(frozenset, direct.edges)
@@ -201,11 +201,11 @@ class TestInvalidate:
     def test_geometry_memos_survive(self, depleted_net):
         ctx = PlanningContext(depleted_net, depleted_net.all_sensor_ids())
         graph = ctx.charging_graph
-        grid = ctx.grid_index
+        arrays = ctx.charging_graph_arrays
         mis = ctx.sojourn_candidates()
         ctx.invalidate(list(ctx.requests))
         assert ctx.charging_graph is graph
-        assert ctx.grid_index is grid
+        assert ctx.charging_graph_arrays is arrays
         misses = ctx.memo_misses
         assert ctx.sojourn_candidates() == mis
         assert ctx.memo_misses == misses  # served from the memo

@@ -62,11 +62,14 @@ class TestRoundTrip:
         assert restored._coverage == warm._coverage
         assert restored._core == warm._core
         assert restored._minmax == warm._minmax
-        assert list(restored._charging_graph.nodes) == list(
-            warm._charging_graph.nodes
-        )
-        assert list(restored._charging_graph.edges) == list(
-            warm._charging_graph.edges
+        assert restored._charging_graph.labels == warm._charging_graph.labels
+        for field in ("indptr", "indices"):
+            assert (
+                getattr(restored._charging_graph, field).tobytes()
+                == getattr(warm._charging_graph, field).tobytes()
+            )
+        assert list(restored.charging_graph.edges(data=True)) == list(
+            warm.charging_graph.edges(data=True)
         )
         for key, graph in warm._aux.items():
             assert list(restored._aux[key].nodes) == list(graph.nodes)

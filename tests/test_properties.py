@@ -173,7 +173,7 @@ def test_battery_deplete_recharge_invariants(capacity, frac, drain, refill):
 @given(point_lists)
 def test_charging_graph_is_symmetric_unit_disk(raw):
     positions = to_positions(raw)
-    graph = build_charging_graph(positions, GAMMA)
+    graph = build_charging_graph(positions, GAMMA).to_networkx(positions)
     for u, v in graph.edges:
         assert positions[u].distance_to(positions[v]) <= GAMMA + 1e-9
     # Spot-check some non-edges.
