@@ -26,6 +26,12 @@ from repro.geometry.distcache import DistanceCache
 from repro.network.topology import WRSN
 from repro.tours.kminmax import solve_k_minmax_tours
 
+#: Christofides' matching step is O(n^3)-ish; over every sensor (rather
+#: than Appro's far smaller sojourn set) it becomes the bottleneck, so
+#: above this many requests the baseline builds its backbone with the
+#: MST 2-approximation instead.
+_DOUBLE_MST_ABOVE_NODES = 400
+
 
 def kminmax_baseline_schedule(
     network: WRSN,
@@ -66,11 +72,8 @@ def kminmax_baseline_schedule(
         dist = DistanceCache(positions, depot)
         charge_times = charge_times_for_requests(network, requests, spec)
 
-    # Christofides' matching step is O(n^3)-ish; over every sensor
-    # (rather than Appro's far smaller sojourn set) it becomes the
-    # bottleneck, so large instances use the MST 2-approximation.
     method = tsp_method
-    if method == "christofides" and len(requests) > 400:
+    if method == "christofides" and len(requests) > _DOUBLE_MST_ABOVE_NODES:
         method = "double_mst"
 
     if context is not None:

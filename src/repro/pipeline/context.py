@@ -433,8 +433,13 @@ snapshot_context` can ship it to worker processes.
         method = tsp_method
         if method == "christofides" and n > _CHRISTOFIDES_MAX_NODES:
             method = "greedy_edge"
-        uses_matrix = method in ("nearest_neighbor", "greedy_edge") or (
-            improve and 3 <= n <= _IMPROVE_MAX_NODES
+        # Christofides runs on the matrix from three nodes up (smaller
+        # instances take its double-MST fallback), with or without
+        # local search.
+        uses_matrix = (
+            method in ("nearest_neighbor", "greedy_edge")
+            or (method == "christofides" and n >= 3)
+            or (improve and 3 <= n <= _IMPROVE_MAX_NODES)
         )
         if not uses_matrix:
             return

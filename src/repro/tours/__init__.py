@@ -12,7 +12,10 @@
   of the Liang et al. constant-factor approximation.
 * :mod:`repro.tours.arrays` — the array tour engine (DESIGN §16):
   index-space tours over dense distance matrices with vectorised,
-  byte-parity 2-opt / Or-opt / splitting kernels.
+  byte-parity 2-opt / Or-opt / splitting kernels and the index-space
+  Christofides construction.
+* :mod:`repro.tours.matching` — the blossom maximum-weight matching
+  Christofides pairs odd-degree tree nodes with (a port of networkx's).
 """
 
 from repro.tours.arrays import (

@@ -20,7 +20,10 @@ This module supplies the array-native representation and the kernels:
   for O(1) delay/length reads and for diagnostics).
 * kernels — :func:`two_opt_indices`, :func:`or_opt_indices`,
   :func:`greedy_split_cuts`, :func:`split_min_max_ranges`,
-  :func:`split_dual_ranges`: numpy re-expressions of the legacy loops.
+  :func:`split_dual_ranges`: numpy re-expressions of the legacy loops;
+  :func:`nearest_neighbor_indices`, :func:`greedy_edge_indices` and
+  :func:`christofides_indices`: the TSP constructions in index space
+  (Christofides reproduces networkx's cycle; it has no label-path twin).
 
 Byte-parity contract
 --------------------
@@ -71,6 +74,7 @@ from typing import (
 import numpy as np
 
 from repro.geometry.distcache import DistanceCache
+from repro.tours.matching import max_weight_matching
 
 #: Largest node count for which a dense ``(n+1)^2`` float64 matrix is
 #: built (~134 MB at the cap). Above it the matrix-backed kernels
@@ -800,6 +804,132 @@ def greedy_edge_indices(dense: ArrayDistance) -> np.ndarray:
     return np.asarray(order, dtype=np.int32)
 
 
+def christofides_indices(matrix: np.ndarray, start: int) -> np.ndarray:
+    """Christofides' 1.5-approximate cycle over the index space of
+    ``matrix``, rotated to begin with ``start``.
+
+    Edge ``{i, j}`` (``i < j``) weighs ``matrix[i, j]``; the lower
+    triangle is never read. The cycle is the one networkx's
+    ``approximation.christofides`` returns on the complete graph whose
+    nodes are added in index order and whose edge ``(i, j)`` carries
+    that weight (DESIGN §16 states the ordering contract). Every order
+    its result depends on is reproduced:
+
+    1. **Kruskal.** A stable argsort of the row-major upper triangle is
+       networkx's stable weight sort of ``G.edges``; an edge joining
+       two components is accepted.
+    2. **Tree.** Each node keeps its tree neighbours in acceptance
+       order; the tree's edge list runs over nodes in index order, each
+       contributing its not-yet-visited neighbours.
+    3. **Matching.** The odd-degree nodes, in index order, are matched
+       by :func:`repro.tours.matching.max_weight_matching` on weights
+       ``(1 + max w) - w``.
+    4. **Multigraph.** Nodes enter in first appearance along the tree's
+       edge list; a node's adjacency holds its tree neighbours in that
+       list's order, then its matching partner — which joins the
+       existing entry (as a second parallel edge) when it is already a
+       tree neighbour.
+    5. **Copy.** ``eulerian_circuit`` walks a ``MultiGraph.copy()``,
+       which re-inserts edges node by node: a node's adjacency becomes
+       its neighbours that entered before it, in entry order, then the
+       rest in their previous order.
+    6. **Walk.** Hierholzer's walk from the first node always takes
+       the first remaining neighbour; the cycle lists the vertices in
+       the order the walk retires them, first occurrences only.
+
+    Needs at least two nodes. :func:`repro.tours.tsp.christofides_tour`
+    and ``build_tsp_order`` send instances of up to three nodes
+    (depot included) to the double-MST fallback instead.
+    """
+    m = matrix.shape[0]
+    upper_i, upper_j = np.triu_indices(m, k=1)
+    by_weight = np.argsort(matrix[upper_i, upper_j], kind="stable")
+
+    parent = list(range(m))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    tree: List[List[int]] = [[] for _ in range(m)]
+    accepted = 0
+    for a, b in zip(
+        upper_i[by_weight].tolist(), upper_j[by_weight].tolist()
+    ):
+        root_a, root_b = find(a), find(b)
+        if root_a == root_b:
+            continue
+        parent[root_a] = root_b
+        tree[a].append(b)
+        tree[b].append(a)
+        accepted += 1
+        if accepted == m - 1:
+            break
+
+    odd = [x for x in range(m) if len(tree[x]) % 2]
+    odd_i, odd_j = np.triu_indices(len(odd), k=1)
+    odd_weights = matrix[np.ix_(odd, odd)][odd_i, odd_j]
+    inverted = (1 + odd_weights.max()) - odd_weights
+    matching = np.zeros((len(odd), len(odd)), dtype=np.float64)
+    matching[odd_i, odd_j] = inverted
+    matching[odd_j, odd_i] = inverted
+    mate = max_weight_matching(matching.tolist())
+
+    # Multigraph adjacency as ordered {neighbour: parallel edges}.
+    multigraph: Dict[int, Dict[int, int]] = {}
+
+    def add_edge(u: int, v: int) -> None:
+        for node in (u, v):
+            if node not in multigraph:
+                multigraph[node] = {}
+        multigraph[u][v] = multigraph[u].get(v, 0) + 1
+        multigraph[v][u] = multigraph[u][v]
+
+    visited = [False] * m
+    for u in range(m):
+        for v in tree[u]:
+            if not visited[v]:
+                add_edge(u, v)
+        visited[u] = True
+    for a, b in enumerate(mate):
+        if a < b:
+            add_edge(odd[a], odd[b])
+
+    walk_adjacency: Dict[int, Dict[int, int]] = {
+        node: {} for node in multigraph
+    }
+    for u, neighbours in multigraph.items():
+        for v, count in neighbours.items():
+            if v not in walk_adjacency[u]:
+                walk_adjacency[u][v] = count
+                walk_adjacency[v][u] = count
+
+    source = next(iter(walk_adjacency))
+    stack = [source]
+    retired: List[int] = []
+    while stack:
+        current = stack[-1]
+        neighbours = walk_adjacency[current]
+        if not neighbours:
+            retired.append(current)
+            stack.pop()
+            continue
+        nxt = next(iter(neighbours))
+        stack.append(nxt)
+        left = neighbours[nxt] - 1
+        if left:
+            neighbours[nxt] = walk_adjacency[nxt][current] = left
+        else:
+            del neighbours[nxt]
+            del walk_adjacency[nxt][current]
+
+    cycle = list(dict.fromkeys(retired))
+    pivot = cycle.index(start)
+    return np.asarray(cycle[pivot:] + cycle[:pivot], dtype=np.int32)
+
+
 __all__ = [
     "ArrayDistance",
     "ArrayTour",
@@ -809,6 +939,7 @@ __all__ = [
     "TourPlan",
     "arrays_enabled",
     "canonical_labels",
+    "christofides_indices",
     "dense_backend",
     "greedy_edge_indices",
     "greedy_split_cuts",

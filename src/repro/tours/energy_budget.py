@@ -31,6 +31,7 @@ from repro.tours.arrays import split_dual_ranges, tour_legs
 from repro.tours.splitting import segment_cost
 from repro.tours.tsp import build_tsp_order
 from repro.tours.improve import or_opt, two_opt
+from repro.tours.kminmax import _CHRISTOFIDES_MAX_NODES, _IMPROVE_MAX_NODES
 
 #: Pairwise distance lookup over node labels; ``None`` means the depot.
 DistanceFn = Callable[[Hashable, Hashable], float]
@@ -277,10 +278,10 @@ def solve_k_minmax_energy_constrained(
     if dist is None:
         dist = DistanceCache(positions, depot)
     method = tsp_method
-    if method == "christofides" and len(node_list) > 250:
+    if method == "christofides" and len(node_list) > _CHRISTOFIDES_MAX_NODES:
         method = "greedy_edge"
     order = build_tsp_order(node_list, positions, depot, method=method, dist=dist)
-    if 3 <= len(order) <= 600:
+    if 3 <= len(order) <= _IMPROVE_MAX_NODES:
         order = two_opt(order, positions, depot, dist=dist)
         order = or_opt(order, positions, depot, dist=dist)
     return split_tour_energy_constrained(

@@ -9,12 +9,18 @@ caller via :data:`DEPOT`):
 * :func:`nearest_neighbor_tour` — O(n²), good average quality;
 * :func:`greedy_edge_tour` — O(n² log n) greedy edge matching;
 * :func:`double_mst_tour` — the classic 2-approximation (MST preorder);
-* :func:`christofides_tour` — the 1.5-approximation via networkx's
-  implementation (min-weight matching on odd-degree MST nodes).
+* :func:`christofides_tour` — the 1.5-approximation (minimum-weight
+  perfect matching on the odd-degree MST nodes, then an Euler walk),
+  run in index space by :func:`repro.tours.arrays.christofides_indices`
+  with the blossom matching of :mod:`repro.tours.matching`. Its cycle
+  is the one networkx's ``approximation.christofides`` returns on the
+  same complete graph, node for node.
 
 :func:`build_tsp_order` is the front door: it injects the depot, runs
 the chosen construction and rotates the cycle so the order starts just
-after the depot.
+after the depot. With a depot-carrying :class:`DistanceCache` the
+nearest-neighbour, greedy-edge and Christofides constructions run on
+the cache's dense matrix (the array tour engine, DESIGN §16).
 """
 
 from __future__ import annotations
@@ -22,10 +28,12 @@ from __future__ import annotations
 from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence
 
 import networkx as nx
+import numpy as np
 
 from repro.geometry.distcache import DistanceCache
 from repro.geometry.point import PointLike
 from repro.tours.arrays import (
+    christofides_indices,
     dense_backend,
     greedy_edge_indices,
     nearest_neighbor_indices,
@@ -150,20 +158,6 @@ def greedy_edge_tour(
     return [all_nodes[i] for i in order_idx]
 
 
-def _complete_graph(
-    nodes: Sequence[Hashable],
-    positions: Mapping[Hashable, PointLike],
-    dist: Optional[DistanceFn] = None,
-) -> nx.Graph:
-    graph = nx.Graph()
-    graph.add_nodes_from(nodes)
-    dist = _distance_lookup(positions, dist)
-    for i, a in enumerate(nodes):
-        for b in nodes[i + 1:]:
-            graph.add_edge(a, b, weight=dist(a, b))
-    return graph
-
-
 def double_mst_tour(
     nodes: Sequence[Hashable],
     positions: Mapping[Hashable, PointLike],
@@ -184,7 +178,6 @@ def double_mst_tour(
     all_nodes = list(dict.fromkeys(list(nodes) + [start]))
     if len(all_nodes) <= 2:
         return all_nodes if all_nodes[0] == start else all_nodes[::-1]
-    import numpy as np
     from scipy.sparse.csgraph import minimum_spanning_tree as _scipy_mst
 
     coords = np.asarray(
@@ -207,22 +200,31 @@ def christofides_tour(
     start: Hashable,
     dist: Optional[DistanceFn] = None,
 ) -> List[Hashable]:
-    """Christofides' 1.5-approximation (networkx implementation),
-    rotated to begin with ``start``.
+    """Christofides' 1.5-approximation, rotated to begin with ``start``.
+
+    The nodes (``start`` appended when absent) are indexed in the given
+    order and edge ``(i, j)``, ``i < j``, weighs ``dist(a, b)``; the
+    matrix goes to :func:`repro.tours.arrays.christofides_indices`, the
+    kernel :func:`build_tsp_order` also runs on the dense backend. The
+    cycle is the one networkx's ``approximation.christofides`` returns
+    on the complete graph built in that node and edge order.
 
     Falls back to :func:`double_mst_tour` for instances too small for
     the matching step.
     """
     all_nodes = list(dict.fromkeys(list(nodes) + [start]))
-    if len(all_nodes) <= 3:
+    m = len(all_nodes)
+    if m <= 3:
         return double_mst_tour(nodes, positions, start)
-    cycle = nx.approximation.christofides(
-        _complete_graph(all_nodes, positions, dist)
+    dist = _distance_lookup(positions, dist)
+    matrix = np.zeros((m, m), dtype=np.float64)
+    matrix[np.triu_indices(m, k=1)] = np.fromiter(
+        (dist(a, b) for i, a in enumerate(all_nodes) for b in all_nodes[i + 1:]),
+        dtype=np.float64,
+        count=m * (m - 1) // 2,
     )
-    # networkx returns a closed walk with the first node repeated last.
-    order = cycle[:-1]
-    pivot = order.index(start)
-    return order[pivot:] + order[:pivot]
+    order = christofides_indices(matrix, all_nodes.index(start))
+    return [all_nodes[i] for i in order.tolist()]
 
 
 def build_tsp_order(
@@ -255,13 +257,22 @@ def build_tsp_order(
         return node_list
     pos: Dict[Hashable, PointLike] = {n: positions[n] for n in node_list}
     pos[DEPOT] = depot
-    if method in ("nearest_neighbor", "greedy_edge"):
-        # Array fast path: the codec's index space (real nodes in
-        # positional order, depot last) coincides with the legacy
-        # ``node_list + [DEPOT]`` enumeration, so edge tie-breaks and
-        # nearest-neighbour scans resolve to the identical tour.
+    # Array fast path: the codec's index space (real nodes in
+    # positional order, depot last) coincides with the legacy
+    # ``node_list + [DEPOT]`` enumeration, so edge tie-breaks and
+    # nearest-neighbour scans resolve to the identical tour.
+    # Christofides below four nodes takes the label path's double-MST
+    # fallback.
+    if method != "double_mst" and (
+        method != "christofides" or len(node_list) >= 3
+    ):
         backend = dense_backend(dist, node_list)
         if backend is not None:
+            if method == "christofides":
+                cycle_idx = christofides_indices(
+                    backend.matrix, backend.codec.depot_index
+                )
+                return backend.codec.decode(cycle_idx[1:])
             kernel = {
                 "nearest_neighbor": nearest_neighbor_indices,
                 "greedy_edge": greedy_edge_indices,

@@ -131,6 +131,43 @@ class TestEdgeCases:
         with pytest.raises(ValueError, match="request ids"):
             restore_context(snap, other)
 
+    def test_christofides_without_local_search_ships_matrix(self, net):
+        # Christofides reads the dense matrix even with improve=False,
+        # so the snapshot must carry it and a restored context must
+        # plan from it to the same bytes.
+        requests = net.all_sensor_ids()[:24]
+        nodes = requests[:14]
+        service = {v: 60.0 + v for v in nodes}
+        ctx = PlanningContext(net, requests)
+        tours, delay = ctx.minmax_tours(
+            nodes, 2, service, tsp_method="christofides", improve=False
+        )
+        key = tuple(sorted(nodes))
+        snap = pickle.loads(pickle.dumps(snapshot_context(ctx)))
+        assert list(snap.dense) == [key]
+        assert (
+            snap.dense[key].tobytes()
+            == ctx.distance.dense_matrix(key).tobytes()
+        )
+        restored = restore_context(snap, net, share_distances=False)
+        assert restored._dense_matrices[key].tobytes() == (
+            snap.dense[key].tobytes()
+        )
+        # K = 2 answers from the memo; K = 3 plans on the shipped matrix.
+        cold = PlanningContext(net, requests)
+        for k in (2, 3):
+            got = restored.minmax_tours(
+                nodes, k, service, tsp_method="christofides", improve=False
+            )
+            want = cold.minmax_tours(
+                nodes, k, service, tsp_method="christofides", improve=False
+            )
+            assert got == want
+        assert restored.minmax_tours(
+            nodes, 2, service, tsp_method="christofides", improve=False
+        ) == (tours, delay)
+        assert restored.stats()["dense_matrices"] == 1
+
     def test_share_distances_flag(self, net, warm):
         snap = snapshot_context(warm)
         isolated = restore_context(snap, net, share_distances=False)
