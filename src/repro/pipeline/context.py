@@ -45,11 +45,7 @@ from repro.graphs.auxiliary import build_auxiliary_graph
 from repro.graphs.mis import maximal_independent_set
 from repro.graphs.unit_disk import ChargingGraph, build_charging_graph
 from repro.network.topology import WRSN
-from repro.tours.arrays import (
-    NodeIndexCodec,
-    canonical_labels,
-    dense_backend,
-)
+from repro.tours.arrays import NodeIndexCodec, canonical_labels
 from repro.tours.kminmax import (
     _CHRISTOFIDES_MAX_NODES,
     _IMPROVE_MAX_NODES,
@@ -437,15 +433,13 @@ snapshot_context` can ship it to worker processes.
         # instances take its double-MST fallback), with or without
         # local search.
         uses_matrix = (
-            method in ("nearest_neighbor", "greedy_edge")
+            (method in ("nearest_neighbor", "greedy_edge") and n >= 2)
             or (method == "christofides" and n >= 3)
             or (improve and 3 <= n <= _IMPROVE_MAX_NODES)
         )
         if not uses_matrix:
             return
         key = canonical_labels(nodes)
-        if dense_backend(self.distance, list(key)) is None:
-            return
         self.node_codec(key)
         self.dense_matrix_for(key)
 

@@ -1,11 +1,9 @@
 """Structured-array tour engine: index-space codecs + vectorised kernels.
 
-The label-based tour code (``tours/{tsp,improve,splitting,energy_budget}``)
-walks Python lists of ``Hashable`` labels and calls a memoized
-:class:`~repro.geometry.distcache.DistanceCache` once per pair. That is
-the right shape at paper scale (~hundreds of sojourn stops) but it is
-the wall at 10k+ nodes: 2-opt alone evaluates ``O(n^2)`` moves per
-round through Python-level arithmetic.
+Every TSP construction, local search and split of the tours layer runs
+here, in index space over a dense distance matrix or O(n) leg arrays;
+the label-space functions in ``tours/{tsp,improve,splitting,
+energy_budget}`` only encode their inputs and decode the result.
 
 This module supplies the array-native representation and the kernels:
 
@@ -14,22 +12,21 @@ This module supplies the array-native representation and the kernels:
   (``codec.depot_index == len(labels)``), so a ``(n+1) x (n+1)`` matrix
   row/column addresses it uniformly.
 * :class:`ArrayDistance` — the codec plus the dense float64 distance
-  matrix exported by :meth:`DistanceCache.dense_matrix`.
+  matrix over its index space (:func:`dense_backend`).
 * :class:`ArrayTour` / :class:`TourPlan` — contiguous ``int32`` visit
   order plus float64 service/travel prefix arrays (cumulative sums used
   for O(1) delay/length reads and for diagnostics).
 * kernels — :func:`two_opt_indices`, :func:`or_opt_indices`,
   :func:`greedy_split_cuts`, :func:`split_min_max_ranges`,
-  :func:`split_dual_ranges`: numpy re-expressions of the legacy loops;
+  :func:`split_dual_ranges`: local search and splitting;
   :func:`nearest_neighbor_indices`, :func:`greedy_edge_indices` and
-  :func:`christofides_indices`: the TSP constructions in index space
-  (Christofides reproduces networkx's cycle; it has no label-path twin).
+  :func:`christofides_indices`: the TSP constructions.
 
 Byte-parity contract
 --------------------
-Every float the kernels emit is **byte-identical** to the legacy label
-path (the acceptance bar PR 3/5/6 set for ``dist=`` threading and
-``within_bulk``). Two rules make that possible:
+Every float the kernels emit is **byte-identical** to the retired
+label-space loops, which ``tests/_legacy_tours.py`` keeps as the
+oracle. Two rules make that possible:
 
 1. **Distances come from ``euclidean`` (``math.hypot``), never from a
    numpy reimplementation.** CPython's ``math.hypot`` is its own
@@ -47,24 +44,24 @@ path (the acceptance bar PR 3/5/6 set for ``dist=`` threading and
    feasibility recomputes a fresh cumsum per segment, which keeps the
    whole pass O(n) amortised without breaking parity.
 
-The engine is on by default and used whenever the caller's ``dist`` is
-a :class:`DistanceCache` with a depot (and, for matrix-backed kernels,
-the node count is at most :data:`DENSE_MAX_NODES`); anything else —
-closure distance functions, depot-less caches, oversized instances —
-falls back to the legacy label path. :func:`use_arrays` switches the
-engine off for a scope, which is how the parity tests keep the legacy
-code as the oracle.
+Matrix source
+-------------
+:func:`dense_backend` is total: a depot-carrying
+:class:`DistanceCache` serves its memoized ``dense_matrix``; any other
+``dist`` callable (``None`` = depot) is read once per pair by
+:func:`pairwise_matrix`. A depot-less cache and duplicate labels raise
+``ValueError``. There is no size cap: at 8 bytes per ordered pair the
+matrix is smaller than the memoized pair dict a label-space walk
+fills (DESIGN §16).
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
     Callable,
     Dict,
     Hashable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -76,37 +73,9 @@ import numpy as np
 from repro.geometry.distcache import DistanceCache
 from repro.tours.matching import max_weight_matching
 
-#: Largest node count for which a dense ``(n+1)^2`` float64 matrix is
-#: built (~134 MB at the cap). Above it the matrix-backed kernels
-#: (2-opt / Or-opt / TSP constructions) fall back to the label path;
-#: the split kernels need only O(n) leg arrays and have no cap.
-DENSE_MAX_NODES = 4096
-
-#: Binary-search stopping rule — mirrors ``tours.splitting``; duplicated
-#: (not imported) to keep the import DAG acyclic: splitting imports this
-#: module for its fast path.
+#: Binary-search stopping rule of the min-max and dual splits.
 _BINARY_SEARCH_REL_TOL = 1e-9
 _BINARY_SEARCH_MAX_ITER = 100
-
-_arrays_enabled = True
-
-
-def arrays_enabled() -> bool:
-    """Whether the array engine is currently routing eligible calls."""
-    return _arrays_enabled
-
-
-@contextmanager
-def use_arrays(enabled: bool) -> Iterator[None]:
-    """Scope the array engine on or off (tests use ``use_arrays(False)``
-    to run the legacy label path as a parity oracle)."""
-    global _arrays_enabled
-    previous = _arrays_enabled
-    _arrays_enabled = bool(enabled)
-    try:
-        yield
-    finally:
-        _arrays_enabled = previous
 
 
 def canonical_labels(labels: Sequence[Hashable]) -> Tuple[Hashable, ...]:
@@ -204,26 +173,47 @@ class ArrayDistance:
         return cls(codec, matrix)
 
 
-def dense_backend(
-    dist: object,
+def pairwise_matrix(
     labels: Sequence[Hashable],
-) -> Optional[ArrayDistance]:
-    """Resolve a matrix-backed engine for ``labels``, or ``None``.
+    dist: Callable[[Hashable, Hashable], float],
+) -> np.ndarray:
+    """Symmetric ``m x m`` float64 matrix over ``labels`` from one
+    pairwise fill.
 
-    ``None`` (→ legacy label path) when the engine is disabled, when
-    ``dist`` is not a depot-carrying :class:`DistanceCache`, or when the
-    instance exceeds :data:`DENSE_MAX_NODES`.
+    Entry ``(i, j)``, ``i < j``, is ``dist(labels[i], labels[j])`` —
+    each unordered pair is read exactly once, ``a`` before ``b`` in
+    the given order — mirrored into the lower triangle; the diagonal
+    is zero.
     """
-    if not _arrays_enabled:
-        return None
-    if not isinstance(dist, DistanceCache) or not dist.has_depot:
-        return None
-    if not 2 <= len(labels) <= DENSE_MAX_NODES:
-        return None
-    try:
+    m = len(labels)
+    matrix = np.zeros((m, m), dtype=np.float64)
+    matrix[np.triu_indices(m, k=1)] = np.fromiter(
+        (dist(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]),
+        dtype=np.float64,
+        count=m * (m - 1) // 2,
+    )
+    matrix += matrix.T
+    return matrix
+
+
+def dense_backend(
+    dist: Callable[[Hashable, Hashable], float],
+    labels: Sequence[Hashable],
+) -> ArrayDistance:
+    """The dense distance matrix over ``labels`` plus the depot.
+
+    A :class:`DistanceCache` serves its memoized
+    :meth:`~DistanceCache.dense_matrix` (:meth:`ArrayDistance.
+    from_cache`); any other callable, with ``None`` naming the depot,
+    fills the matrix through :func:`pairwise_matrix`.
+
+    Raises:
+        ValueError: on duplicate labels, or a depot-less cache.
+    """
+    if isinstance(dist, DistanceCache):
         return ArrayDistance.from_cache(dist, labels)
-    except ValueError:
-        return None  # duplicate labels: let the legacy path handle it
+    codec = NodeIndexCodec(labels)
+    return ArrayDistance(codec, pairwise_matrix([*codec.labels, None], dist))
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +325,8 @@ def two_opt_indices(
     max_rounds: int = 30,
     min_gain: float = 1e-9,
 ) -> np.ndarray:
-    """First-improvement 2-opt over index space; parity with
-    :func:`repro.tours.improve.two_opt`.
+    """First-improvement 2-opt over index space (the kernel behind
+    :func:`repro.tours.improve.two_opt`).
 
     For each pivot ``i`` the whole row of candidate reversals
     ``order[i..j]`` is scored in one vector expression
@@ -382,8 +372,8 @@ def or_opt_indices(
     max_rounds: int = 10,
     min_gain: float = 1e-9,
 ) -> np.ndarray:
-    """Or-opt segment relocation; parity with
-    :func:`repro.tours.improve.or_opt`.
+    """Or-opt segment relocation (the kernel behind
+    :func:`repro.tours.improve.or_opt`).
 
     The legacy insertion scan keeps the *first* position attaining the
     running strict minimum below ``-min_gain``; ``np.argmin`` returns
@@ -438,7 +428,7 @@ def or_opt_indices(
 
 
 # ---------------------------------------------------------------------------
-# Split kernels (leg-array backed — no dense matrix, no size cap)
+# Split kernels (leg-array backed — no dense matrix)
 # ---------------------------------------------------------------------------
 
 
@@ -450,8 +440,8 @@ class TourLegs:
     the previous node (``chain_m[0]`` unused), ``closing_m[k]`` the
     node->depot leg, all in metres; ``service_s[k]`` the node's service
     seconds. Built once per split call and reused across every binary-
-    search iteration — the legacy path re-walks the distance cache per
-    iteration, which is where the split speedup comes from.
+    search iteration, so the distance lookups are paid once per split,
+    not once per iteration.
     """
 
     start_m: np.ndarray
@@ -464,22 +454,17 @@ class TourLegs:
 
 
 def tour_legs(
-    dist: object,
+    dist: Callable[[Hashable, Hashable], float],
     order: Sequence[Hashable],
     service: Callable[[Hashable], float],
-) -> Optional[TourLegs]:
-    """Build :class:`TourLegs` for ``order``, or ``None`` for fallback.
+) -> TourLegs:
+    """Build :class:`TourLegs` for ``order``.
 
-    Requires the array engine on and a depot-carrying
-    :class:`DistanceCache`; distances come from scalar cache lookups, so
-    every entry is byte-identical to what the legacy loops would see.
-    ``service`` must be pure — it is evaluated once per node here, while
-    the legacy path re-evaluates it every binary-search iteration.
+    Each leg is one ``dist`` call (``None`` = depot) in visit order, so
+    every entry is the float a scalar walk over ``order`` would read.
+    ``service`` must be pure — it is evaluated once per node here, not
+    once per binary-search iteration.
     """
-    if not _arrays_enabled:
-        return None
-    if not isinstance(dist, DistanceCache) or not dist.has_depot:
-        return None
     n = len(order)
     start = np.fromiter(
         (dist(None, node) for node in order), dtype=np.float64, count=n
@@ -504,8 +489,8 @@ def greedy_split_cuts(
     speed_mps: float,
     max_segments: Optional[int] = None,
 ) -> Optional[List[int]]:
-    """Greedy segment cut positions under ``bound``; parity with
-    :func:`repro.tours.splitting.greedy_split_with_bound`.
+    """Greedy segment cut positions under ``bound`` (the kernel behind
+    :func:`repro.tours.splitting.greedy_split_with_bound`).
 
     Returns the sorted positions where a new segment starts (``0`` is
     implicit), or ``None`` when a single node is infeasible — and, as a
@@ -582,8 +567,8 @@ def split_min_max_ranges(
     num_tours: int,
     speed_mps: float,
 ) -> Tuple[List[Tuple[int, int]], float]:
-    """Binary-searched min-max split as position ranges; parity with
-    :func:`repro.tours.splitting.split_tour_min_max`."""
+    """Binary-searched min-max split as position ranges (the kernel
+    behind :func:`repro.tours.splitting.split_tour_min_max`)."""
     n = len(legs)
     if not n:
         return [], 0.0
@@ -622,8 +607,8 @@ def split_dual_ranges(
     drain_w: float,
     battery_j: float,
 ) -> Tuple[Optional[List[Tuple[int, int]]], float]:
-    """Energy-and-delay constrained split as position ranges; parity
-    with :func:`repro.tours.energy_budget.split_tour_energy_constrained`.
+    """Energy-and-delay constrained split as position ranges (the kernel
+    behind :func:`repro.tours.energy_budget.split_tour_energy_constrained`).
 
     ``drain_w`` is the charger's drawn power ``charge_rate_w /
     transfer_efficiency`` (pre-divided once — the legacy expression
@@ -714,8 +699,8 @@ def split_dual_ranges(
 def nearest_neighbor_indices(
     dense: ArrayDistance,
 ) -> np.ndarray:
-    """Depot-rooted nearest-neighbour order; parity with
-    :func:`repro.tours.tsp.nearest_neighbor_tour` started at the depot.
+    """Depot-rooted nearest-neighbour order (``build_tsp_order``'s
+    ``"nearest_neighbor"`` construction).
 
     The legacy tie-break is ``(distance, str(label))``; distance ties
     are resolved here by a precomputed string rank over the codec's
@@ -744,9 +729,8 @@ def nearest_neighbor_indices(
 
 
 def greedy_edge_indices(dense: ArrayDistance) -> np.ndarray:
-    """Greedy-edge cycle rotated to start just after the depot; parity
-    with :func:`repro.tours.tsp.greedy_edge_tour` over
-    ``node_list + [DEPOT]``.
+    """Greedy-edge cycle rotated to start just after the depot
+    (``build_tsp_order``'s ``"greedy_edge"`` construction).
 
     The legacy edge sort key is ``(distance, i, j)`` over positional
     indices with the depot last — exactly this codec's index space, so
@@ -933,11 +917,9 @@ def christofides_indices(matrix: np.ndarray, start: int) -> np.ndarray:
 __all__ = [
     "ArrayDistance",
     "ArrayTour",
-    "DENSE_MAX_NODES",
     "NodeIndexCodec",
     "TourLegs",
     "TourPlan",
-    "arrays_enabled",
     "canonical_labels",
     "christofides_indices",
     "dense_backend",
@@ -945,10 +927,10 @@ __all__ = [
     "greedy_split_cuts",
     "nearest_neighbor_indices",
     "or_opt_indices",
+    "pairwise_matrix",
     "range_cost",
     "split_dual_ranges",
     "split_min_max_ranges",
     "tour_legs",
     "two_opt_indices",
-    "use_arrays",
 ]

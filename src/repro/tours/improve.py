@@ -47,40 +47,23 @@ def two_opt(
     """First-improvement 2-opt on a depot-rooted cycle.
 
     Repeatedly reverses segments ``order[i..j]`` while that shortens
-    travel, up to ``max_rounds`` full passes.
+    travel, up to ``max_rounds`` full passes
+    (:func:`repro.tours.arrays.two_opt_indices`).
 
     Returns a new order; the input is not mutated.
     """
     current = list(order)
-    n = len(current)
-    if n < 3:
+    if len(current) < 3:
         return current
-    dist = _dist_fn(positions, depot, dist)
-    backend = dense_backend(dist, current)
-    if backend is not None:
-        improved = two_opt_indices(
-            backend.matrix,
-            backend.codec.depot_index,
-            backend.codec.encode(current),
-            max_rounds=max_rounds,
-            min_gain=min_gain,
-        )
-        return backend.codec.decode(improved)
-    # Treat the cycle as depot(None), v0, ..., v_{n-1}, depot(None).
-    for _ in range(max_rounds):
-        improved = False
-        for i in range(n - 1):
-            before_i = current[i - 1] if i > 0 else None
-            for j in range(i + 1, n):
-                after_j = current[j + 1] if j + 1 < n else None
-                removed = dist(before_i, current[i]) + dist(current[j], after_j)
-                added = dist(before_i, current[j]) + dist(current[i], after_j)
-                if removed - added > min_gain:
-                    current[i : j + 1] = reversed(current[i : j + 1])
-                    improved = True
-        if not improved:
-            break
-    return current
+    dense = dense_backend(_dist_fn(positions, depot, dist), current)
+    improved = two_opt_indices(
+        dense.matrix,
+        dense.codec.depot_index,
+        dense.codec.encode(current),
+        max_rounds=max_rounds,
+        min_gain=min_gain,
+    )
+    return dense.codec.decode(improved)
 
 
 def or_opt(
@@ -92,65 +75,36 @@ def or_opt(
     min_gain: float = 1e-9,
     dist: Optional[DistanceFn] = None,
 ) -> List[Hashable]:
-    """Or-opt: relocate short segments to better positions in the cycle.
+    """Or-opt: relocate short segments to better positions in the cycle
+    (:func:`repro.tours.arrays.or_opt_indices`).
 
     Complements 2-opt (which cannot move a node without reversing).
     Returns a new order; the input is not mutated.
+
+    Raises:
+        ValueError: on a segment length below 1 or a negative
+            ``min_gain`` — either would let a move that changes
+            nothing count as an improvement, and the scan never ends.
     """
+    if any(length < 1 for length in segment_lengths):
+        raise ValueError(
+            f"segment lengths must be at least 1, got {list(segment_lengths)}"
+        )
+    if min_gain < 0:
+        raise ValueError(f"min_gain must be non-negative, got {min_gain}")
     current = list(order)
-    dist = _dist_fn(positions, depot, dist)
-    if len(current) > 1:
-        backend = dense_backend(dist, current)
-        if backend is not None:
-            moved = or_opt_indices(
-                backend.matrix,
-                backend.codec.depot_index,
-                backend.codec.encode(current),
-                segment_lengths=segment_lengths,
-                max_rounds=max_rounds,
-                min_gain=min_gain,
-            )
-            return backend.codec.decode(moved)
-    for _ in range(max_rounds):
-        improved = False
-        for seg_len in segment_lengths:
-            n = len(current)
-            if n <= seg_len:
-                continue
-            i = 0
-            while i + seg_len <= len(current):
-                segment = current[i : i + seg_len]
-                rest = current[:i] + current[i + seg_len :]
-                before = current[i - 1] if i > 0 else None
-                after = current[i + seg_len] if i + seg_len < len(current) else None
-                removal_gain = (
-                    dist(before, segment[0])
-                    + dist(segment[-1], after)
-                    - dist(before, after)
-                )
-                # Try reinsertion between every pair in the remainder.
-                best_delta = -min_gain
-                best_pos = None
-                for pos in range(len(rest) + 1):
-                    pb = rest[pos - 1] if pos > 0 else None
-                    pa = rest[pos] if pos < len(rest) else None
-                    insertion_cost = (
-                        dist(pb, segment[0])
-                        + dist(segment[-1], pa)
-                        - dist(pb, pa)
-                    )
-                    delta = insertion_cost - removal_gain
-                    if delta < best_delta:
-                        best_delta = delta
-                        best_pos = pos
-                if best_pos is not None:
-                    current = rest[:best_pos] + segment + rest[best_pos:]
-                    improved = True
-                else:
-                    i += 1
-        if not improved:
-            break
-    return current
+    if len(current) < 2:
+        return current
+    dense = dense_backend(_dist_fn(positions, depot, dist), current)
+    moved = or_opt_indices(
+        dense.matrix,
+        dense.codec.depot_index,
+        dense.codec.encode(current),
+        segment_lengths=segment_lengths,
+        max_rounds=max_rounds,
+        min_gain=min_gain,
+    )
+    return dense.codec.decode(moved)
 
 
 def cycle_travel_length(

@@ -1,26 +1,27 @@
 """TSP tour constructions over sojourn locations.
 
 The ``K``-optimal closed tour subroutine first builds a single closed
-tour through all locations, then splits it. Four constructions are
-provided; all return a *visit order* — a list of node ids beginning at
-the depot sentinel's successor (the depot itself is handled by the
-caller via :data:`DEPOT`):
+tour through all locations, then splits it. :func:`build_tsp_order` is
+the front door: it injects the depot, runs the chosen construction and
+returns the order starting just after the depot. Four constructions
+are provided:
 
-* :func:`nearest_neighbor_tour` — O(n²), good average quality;
-* :func:`greedy_edge_tour` — O(n² log n) greedy edge matching;
-* :func:`double_mst_tour` — the classic 2-approximation (MST preorder);
-* :func:`christofides_tour` — the 1.5-approximation (minimum-weight
-  perfect matching on the odd-degree MST nodes, then an Euler walk),
-  run in index space by :func:`repro.tours.arrays.christofides_indices`
-  with the blossom matching of :mod:`repro.tours.matching`. Its cycle
+* ``"nearest_neighbor"`` — O(n²), good average quality;
+* ``"greedy_edge"`` — O(n² log n) greedy edge matching;
+* ``"double_mst"`` — the classic 2-approximation (MST preorder),
+  :func:`double_mst_tour`;
+* ``"christofides"`` — the 1.5-approximation (minimum-weight perfect
+  matching on the odd-degree MST nodes, then an Euler walk). Its cycle
   is the one networkx's ``approximation.christofides`` returns on the
-  same complete graph, node for node.
+  same complete graph, node for node; :func:`christofides_tour` runs
+  it over arbitrary labels and start nodes.
 
-:func:`build_tsp_order` is the front door: it injects the depot, runs
-the chosen construction and rotates the cycle so the order starts just
-after the depot. With a depot-carrying :class:`DistanceCache` the
-nearest-neighbour, greedy-edge and Christofides constructions run on
-the cache's dense matrix (the array tour engine, DESIGN §16).
+All but double-MST run in index space on the dense distance matrix of
+:func:`repro.tours.arrays.dense_backend` (the array tour engine,
+DESIGN §16): :func:`~repro.tours.arrays.nearest_neighbor_indices`,
+:func:`~repro.tours.arrays.greedy_edge_indices` and
+:func:`~repro.tours.arrays.christofides_indices` with the blossom
+matching of :mod:`repro.tours.matching`.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from repro.tours.arrays import (
     dense_backend,
     greedy_edge_indices,
     nearest_neighbor_indices,
+    pairwise_matrix,
 )
 
 #: Sentinel id for the depot inside TSP constructions. Sensor ids are
@@ -47,115 +49,6 @@ _METHODS = ("nearest_neighbor", "greedy_edge", "double_mst", "christofides")
 
 #: A pairwise distance lookup over node labels.
 DistanceFn = Callable[[Hashable, Hashable], float]
-
-
-def _distance_lookup(
-    positions: Mapping[Hashable, PointLike],
-    dist: Optional[DistanceFn] = None,
-) -> DistanceFn:
-    return dist if dist is not None else DistanceCache(positions)
-
-
-def _translate_depot(dist: DistanceFn) -> DistanceFn:
-    """Adapt a ``None``-is-depot lookup to the :data:`DEPOT` sentinel."""
-
-    def inner(a: Hashable, b: Hashable) -> float:
-        return dist(None if a == DEPOT else a, None if b == DEPOT else b)
-
-    return inner
-
-
-def nearest_neighbor_tour(
-    nodes: Sequence[Hashable],
-    positions: Mapping[Hashable, PointLike],
-    start: Hashable,
-    dist: Optional[DistanceFn] = None,
-) -> List[Hashable]:
-    """Nearest-neighbour construction starting from ``start``.
-
-    Returns the full cycle order beginning with ``start``.
-    """
-    dist = _distance_lookup(positions, dist)
-    remaining = set(nodes)
-    remaining.discard(start)
-    order = [start]
-    current = start
-    while remaining:
-        nxt = min(remaining, key=lambda n: (dist(current, n), str(n)))
-        order.append(nxt)
-        remaining.remove(nxt)
-        current = nxt
-    return order
-
-
-def greedy_edge_tour(
-    nodes: Sequence[Hashable],
-    positions: Mapping[Hashable, PointLike],
-    start: Hashable,
-    dist: Optional[DistanceFn] = None,
-) -> List[Hashable]:
-    """Greedy-edge construction: repeatedly add the globally shortest
-    edge that keeps degrees ≤ 2 and forms no premature subcycle.
-
-    Returns the cycle order rotated to begin with ``start``.
-    """
-    all_nodes = list(dict.fromkeys(list(nodes) + [start]))
-    if len(all_nodes) == 1:
-        return [start]
-    if len(all_nodes) == 2:
-        return [start, next(n for n in all_nodes if n != start)]
-    dist = _distance_lookup(positions, dist)
-    edges = sorted(
-        (
-            (dist(a, b), i, j)
-            for i, a in enumerate(all_nodes)
-            for j, b in enumerate(all_nodes)
-            if i < j
-        ),
-    )
-    degree = [0] * len(all_nodes)
-    # Union-find over node indices to reject premature cycles.
-    parent = list(range(len(all_nodes)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    adj: Dict[int, List[int]] = {i: [] for i in range(len(all_nodes))}
-    added = 0
-    for _, i, j in edges:
-        if added == len(all_nodes) - 1:
-            break
-        if degree[i] >= 2 or degree[j] >= 2:
-            continue
-        ri, rj = find(i), find(j)
-        if ri == rj:
-            continue
-        parent[ri] = rj
-        degree[i] += 1
-        degree[j] += 1
-        adj[i].append(j)
-        adj[j].append(i)
-        added += 1
-    # Close the Hamiltonian path: exactly two endpoints have degree 1.
-    endpoints = [i for i in range(len(all_nodes)) if degree[i] == 1]
-    assert len(endpoints) == 2, "greedy edge construction left a broken path"
-    adj[endpoints[0]].append(endpoints[1])
-    adj[endpoints[1]].append(endpoints[0])
-    # Walk the cycle.
-    start_idx = all_nodes.index(start)
-    order_idx = [start_idx]
-    prev = None
-    current = start_idx
-    while True:
-        nxt = next(n for n in adj[current] if n != prev)
-        if nxt == start_idx:
-            break
-        order_idx.append(nxt)
-        prev, current = current, nxt
-    return [all_nodes[i] for i in order_idx]
 
 
 def double_mst_tour(
@@ -203,9 +96,10 @@ def christofides_tour(
     """Christofides' 1.5-approximation, rotated to begin with ``start``.
 
     The nodes (``start`` appended when absent) are indexed in the given
-    order and edge ``(i, j)``, ``i < j``, weighs ``dist(a, b)``; the
-    matrix goes to :func:`repro.tours.arrays.christofides_indices`, the
-    kernel :func:`build_tsp_order` also runs on the dense backend. The
+    order and edge ``(i, j)``, ``i < j``, weighs ``dist(a, b)``
+    (:func:`repro.tours.arrays.pairwise_matrix`); the matrix goes to
+    :func:`repro.tours.arrays.christofides_indices`, the kernel
+    :func:`build_tsp_order` also runs. The
     cycle is the one networkx's ``approximation.christofides`` returns
     on the complete graph built in that node and edge order.
 
@@ -213,15 +107,10 @@ def christofides_tour(
     the matching step.
     """
     all_nodes = list(dict.fromkeys(list(nodes) + [start]))
-    m = len(all_nodes)
-    if m <= 3:
+    if len(all_nodes) <= 3:
         return double_mst_tour(nodes, positions, start)
-    dist = _distance_lookup(positions, dist)
-    matrix = np.zeros((m, m), dtype=np.float64)
-    matrix[np.triu_indices(m, k=1)] = np.fromiter(
-        (dist(a, b) for i, a in enumerate(all_nodes) for b in all_nodes[i + 1:]),
-        dtype=np.float64,
-        count=m * (m - 1) // 2,
+    matrix = pairwise_matrix(
+        all_nodes, dist if dist is not None else DistanceCache(positions)
     )
     order = christofides_indices(matrix, all_nodes.index(start))
     return [all_nodes[i] for i in order.tolist()]
@@ -236,55 +125,46 @@ def build_tsp_order(
 ) -> List[Hashable]:
     """Build a closed tour through ``nodes`` rooted at the depot.
 
-    The depot joins the instance as the sentinel :data:`DEPOT`; the
-    returned order lists only the real nodes, in visit order starting
-    with the first node after leaving the depot.
+    The returned order lists only the real nodes, in visit order
+    starting with the first node after leaving the depot. The depot
+    takes the last index of the dense backend (the sentinel
+    :data:`DEPOT` in double-MST's label space), so edge tie-breaks and
+    nearest-neighbour scans follow the ``nodes + [depot]`` enumeration.
 
-    ``dist`` uses the schedule-layer convention (``None`` = depot); it
-    is translated to the :data:`DEPOT` sentinel internally.
+    ``dist`` uses the schedule-layer convention (``None`` = depot);
+    without it a :class:`DistanceCache` over ``positions`` and the
+    depot is built.
 
     Raises:
-        ValueError: on an unknown method.
+        ValueError: on an unknown method, or on duplicate nodes for a
+            matrix-backed construction (tours are node-disjoint, so no
+            solver passes any).
     """
     if method not in _METHODS:
         raise ValueError(
             f"unknown TSP method {method!r}; expected one of {_METHODS}"
         )
     node_list = list(nodes)
-    if not node_list:
-        return []
-    if len(node_list) == 1:
+    if len(node_list) <= 1:
         return node_list
-    pos: Dict[Hashable, PointLike] = {n: positions[n] for n in node_list}
-    pos[DEPOT] = depot
-    # Array fast path: the codec's index space (real nodes in
-    # positional order, depot last) coincides with the legacy
-    # ``node_list + [DEPOT]`` enumeration, so edge tie-breaks and
-    # nearest-neighbour scans resolve to the identical tour.
-    # Christofides below four nodes takes the label path's double-MST
-    # fallback.
-    if method != "double_mst" and (
-        method != "christofides" or len(node_list) >= 3
+    if method == "double_mst" or (
+        method == "christofides" and len(node_list) < 3
     ):
-        backend = dense_backend(dist, node_list)
-        if backend is not None:
-            if method == "christofides":
-                cycle_idx = christofides_indices(
-                    backend.matrix, backend.codec.depot_index
-                )
-                return backend.codec.decode(cycle_idx[1:])
-            kernel = {
-                "nearest_neighbor": nearest_neighbor_indices,
-                "greedy_edge": greedy_edge_indices,
-            }[method]
-            return backend.codec.decode(kernel(backend))
-    inner = None if dist is None else _translate_depot(dist)
-    builder = {
-        "nearest_neighbor": nearest_neighbor_tour,
-        "greedy_edge": greedy_edge_tour,
-        "double_mst": double_mst_tour,
-        "christofides": christofides_tour,
+        # Christofides below four nodes (depot included) takes the
+        # double-MST fallback, as christofides_tour does.
+        pos: Dict[Hashable, PointLike] = {n: positions[n] for n in node_list}
+        pos[DEPOT] = depot
+        return double_mst_tour(node_list + [DEPOT], pos, DEPOT)[1:]
+    if dist is None:
+        dist = DistanceCache(positions, depot)
+    backend = dense_backend(dist, node_list)
+    if method == "christofides":
+        cycle_idx = christofides_indices(
+            backend.matrix, backend.codec.depot_index
+        )
+        return backend.codec.decode(cycle_idx[1:])
+    kernel = {
+        "nearest_neighbor": nearest_neighbor_indices,
+        "greedy_edge": greedy_edge_indices,
     }[method]
-    cycle = builder(node_list + [DEPOT], pos, DEPOT, inner)
-    assert cycle[0] == DEPOT
-    return cycle[1:]
+    return backend.codec.decode(kernel(backend))

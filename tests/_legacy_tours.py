@@ -1,34 +1,172 @@
-"""Retired ``networkx`` Christofides construction, kept as a test oracle.
+"""Retired label-space tour code, kept as test oracles.
 
-This is the pre-array ``repro.tours.tsp.christofides_tour`` verbatim:
-``_complete_graph`` fills a complete ``nx.Graph`` one ``add_edge`` at a
-time (nodes in the given order, edge ``(a, b)`` weighed ``dist(a, b)``
-for ``a`` before ``b``) and ``nx.approximation.christofides`` builds
-the cycle. :func:`legacy_build_tsp_order` is ``build_tsp_order`` as
-it routed Christofides then. ``tests/test_tours_christofides_parity.py``
-pins the index kernel :func:`repro.tours.arrays.christofides_indices`,
-the public ``christofides_tour`` and every schedule built on them
-against it.
+These are the pre-array tour paths verbatim. They walk Python lists of
+node labels and call ``dist(a, b)`` once per pair:
 
-It exists *only* as a reference; production code must never import
+* :func:`nearest_neighbor_tour` and :func:`greedy_edge_tour` — the
+  label-space TSP constructions;
+* :func:`nx_christofides_tour` — networkx's Christofides on a complete
+  ``nx.Graph`` filled one ``add_edge`` at a time (nodes in the given
+  order, edge ``(a, b)`` weighed ``dist(a, b)`` for ``a`` before
+  ``b``);
+* :func:`legacy_build_tsp_order` — ``build_tsp_order`` routed through
+  those constructions on the ``DEPOT`` sentinel;
+* :func:`legacy_two_opt` / :func:`legacy_or_opt` — the scalar local
+  search loops;
+* :func:`legacy_greedy_split_with_bound`,
+  :func:`legacy_split_tour_min_max` and
+  :func:`legacy_split_tour_energy_constrained` — the greedy packers
+  and their binary searches over the bound.
+
+``tests/test_tours_arrays.py`` and
+``tests/test_tours_christofides_parity.py`` pin the index-space kernels
+of :mod:`repro.tours.arrays`, the public tour functions on top of them
+and every schedule built on them against these.
+
+They exist *only* as references; production code must never import
 this module.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence
+import math
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import networkx as nx
 
+from repro.geometry.distcache import DistanceCache
 from repro.geometry.point import PointLike
-from repro.tours.tsp import (
-    DEPOT,
-    DistanceFn,
-    _distance_lookup,
-    _translate_depot,
-    build_tsp_order,
-    double_mst_tour,
-)
+from repro.tours.energy_budget import MCVEnergyModel
+from repro.tours.splitting import segment_cost
+from repro.tours.tsp import DEPOT, DistanceFn, double_mst_tour
+
+_BINARY_SEARCH_REL_TOL = 1e-9
+_BINARY_SEARCH_MAX_ITER = 100
+
+
+def _distance_lookup(
+    positions: Mapping[Hashable, PointLike],
+    dist: Optional[DistanceFn] = None,
+) -> DistanceFn:
+    return dist if dist is not None else DistanceCache(positions)
+
+
+def _translate_depot(dist: DistanceFn) -> DistanceFn:
+    """Adapt a ``None``-is-depot lookup to the :data:`DEPOT` sentinel."""
+
+    def inner(a: Hashable, b: Hashable) -> float:
+        return dist(None if a == DEPOT else a, None if b == DEPOT else b)
+
+    return inner
+
+
+def _depot_lookup(
+    positions: Mapping[Hashable, PointLike],
+    depot: PointLike,
+    dist: Optional[DistanceFn] = None,
+) -> DistanceFn:
+    return dist if dist is not None else DistanceCache(positions, depot)
+
+
+# ----------------------------------------------------------------------
+# TSP constructions
+# ----------------------------------------------------------------------
+
+
+def nearest_neighbor_tour(
+    nodes: Sequence[Hashable],
+    positions: Mapping[Hashable, PointLike],
+    start: Hashable,
+    dist: Optional[DistanceFn] = None,
+) -> List[Hashable]:
+    """Nearest-neighbour construction starting from ``start``; ties go
+    to the smaller ``str(label)``. Returns the full cycle order
+    beginning with ``start``."""
+    dist = _distance_lookup(positions, dist)
+    remaining = set(nodes)
+    remaining.discard(start)
+    order = [start]
+    current = start
+    while remaining:
+        nxt = min(remaining, key=lambda n: (dist(current, n), str(n)))
+        order.append(nxt)
+        remaining.remove(nxt)
+        current = nxt
+    return order
+
+
+def greedy_edge_tour(
+    nodes: Sequence[Hashable],
+    positions: Mapping[Hashable, PointLike],
+    start: Hashable,
+    dist: Optional[DistanceFn] = None,
+) -> List[Hashable]:
+    """Greedy-edge construction: repeatedly add the globally shortest
+    edge that keeps degrees ≤ 2 and forms no premature subcycle.
+    Returns the cycle order rotated to begin with ``start``."""
+    all_nodes = list(dict.fromkeys(list(nodes) + [start]))
+    if len(all_nodes) == 1:
+        return [start]
+    if len(all_nodes) == 2:
+        return [start, next(n for n in all_nodes if n != start)]
+    dist = _distance_lookup(positions, dist)
+    edges = sorted(
+        (
+            (dist(a, b), i, j)
+            for i, a in enumerate(all_nodes)
+            for j, b in enumerate(all_nodes)
+            if i < j
+        ),
+    )
+    degree = [0] * len(all_nodes)
+    parent = list(range(len(all_nodes)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    adj: Dict[int, List[int]] = {i: [] for i in range(len(all_nodes))}
+    added = 0
+    for _, i, j in edges:
+        if added == len(all_nodes) - 1:
+            break
+        if degree[i] >= 2 or degree[j] >= 2:
+            continue
+        ri, rj = find(i), find(j)
+        if ri == rj:
+            continue
+        parent[ri] = rj
+        degree[i] += 1
+        degree[j] += 1
+        adj[i].append(j)
+        adj[j].append(i)
+        added += 1
+    endpoints = [i for i in range(len(all_nodes)) if degree[i] == 1]
+    assert len(endpoints) == 2, "greedy edge construction left a broken path"
+    adj[endpoints[0]].append(endpoints[1])
+    adj[endpoints[1]].append(endpoints[0])
+    start_idx = all_nodes.index(start)
+    order_idx = [start_idx]
+    prev = None
+    current = start_idx
+    while True:
+        nxt = next(n for n in adj[current] if n != prev)
+        if nxt == start_idx:
+            break
+        order_idx.append(nxt)
+        prev, current = current, nxt
+    return [all_nodes[i] for i in order_idx]
 
 
 def _complete_graph(
@@ -72,18 +210,311 @@ def legacy_build_tsp_order(
     method: str = "christofides",
     dist: Optional[DistanceFn] = None,
 ) -> List[Hashable]:
-    """``build_tsp_order`` with its retired Christofides routing: the
-    label path through :func:`nx_christofides_tour` with the
-    depot-translated lookup, whatever ``dist`` is. Other methods go to
-    the current ``build_tsp_order``."""
-    if method != "christofides":
-        return build_tsp_order(nodes, positions, depot, method=method, dist=dist)
+    """``build_tsp_order`` as the label path ran it: the depot joins as
+    :data:`DEPOT`, ``dist`` is depot-translated and the label-space
+    construction builds the cycle."""
     node_list = list(nodes)
     if len(node_list) <= 1:
         return node_list
     pos: Dict[Hashable, PointLike] = {n: positions[n] for n in node_list}
     pos[DEPOT] = depot
     inner = None if dist is None else _translate_depot(dist)
-    cycle = nx_christofides_tour(node_list + [DEPOT], pos, DEPOT, inner)
+    builder = {
+        "nearest_neighbor": nearest_neighbor_tour,
+        "greedy_edge": greedy_edge_tour,
+        "double_mst": double_mst_tour,
+        "christofides": nx_christofides_tour,
+    }[method]
+    cycle = builder(node_list + [DEPOT], pos, DEPOT, inner)
     assert cycle[0] == DEPOT
     return cycle[1:]
+
+
+# ----------------------------------------------------------------------
+# Local search
+# ----------------------------------------------------------------------
+
+
+def legacy_two_opt(
+    order: Sequence[Hashable],
+    positions: Mapping[Hashable, PointLike],
+    depot: PointLike,
+    max_rounds: int = 30,
+    min_gain: float = 1e-9,
+    dist: Optional[DistanceFn] = None,
+) -> List[Hashable]:
+    """First-improvement 2-opt on the depot-rooted cycle
+    ``None, v0, ..., v_{n-1}, None``."""
+    current = list(order)
+    n = len(current)
+    if n < 3:
+        return current
+    dist = _depot_lookup(positions, depot, dist)
+    for _ in range(max_rounds):
+        improved = False
+        for i in range(n - 1):
+            before_i = current[i - 1] if i > 0 else None
+            for j in range(i + 1, n):
+                after_j = current[j + 1] if j + 1 < n else None
+                removed = dist(before_i, current[i]) + dist(current[j], after_j)
+                added = dist(before_i, current[j]) + dist(current[i], after_j)
+                if removed - added > min_gain:
+                    current[i : j + 1] = reversed(current[i : j + 1])
+                    improved = True
+        if not improved:
+            break
+    return current
+
+
+def legacy_or_opt(
+    order: Sequence[Hashable],
+    positions: Mapping[Hashable, PointLike],
+    depot: PointLike,
+    segment_lengths: Sequence[int] = (1, 2, 3),
+    max_rounds: int = 10,
+    min_gain: float = 1e-9,
+    dist: Optional[DistanceFn] = None,
+) -> List[Hashable]:
+    """Or-opt: relocate each short segment to the first position of
+    the strict minimum insertion delta below ``-min_gain``."""
+    current = list(order)
+    dist = _depot_lookup(positions, depot, dist)
+    for _ in range(max_rounds):
+        improved = False
+        for seg_len in segment_lengths:
+            n = len(current)
+            if n <= seg_len:
+                continue
+            i = 0
+            while i + seg_len <= len(current):
+                segment = current[i : i + seg_len]
+                rest = current[:i] + current[i + seg_len :]
+                before = current[i - 1] if i > 0 else None
+                after = current[i + seg_len] if i + seg_len < len(current) else None
+                removal_gain = (
+                    dist(before, segment[0])
+                    + dist(segment[-1], after)
+                    - dist(before, after)
+                )
+                best_delta = -min_gain
+                best_pos = None
+                for pos in range(len(rest) + 1):
+                    pb = rest[pos - 1] if pos > 0 else None
+                    pa = rest[pos] if pos < len(rest) else None
+                    insertion_cost = (
+                        dist(pb, segment[0])
+                        + dist(segment[-1], pa)
+                        - dist(pb, pa)
+                    )
+                    delta = insertion_cost - removal_gain
+                    if delta < best_delta:
+                        best_delta = delta
+                        best_pos = pos
+                if best_pos is not None:
+                    current = rest[:best_pos] + segment + rest[best_pos:]
+                    improved = True
+                else:
+                    i += 1
+        if not improved:
+            break
+    return current
+
+
+# ----------------------------------------------------------------------
+# Splitting
+# ----------------------------------------------------------------------
+
+
+def legacy_greedy_split_with_bound(
+    order: Sequence[Hashable],
+    bound: float,
+    positions: Mapping[Hashable, PointLike],
+    depot: PointLike,
+    speed_mps: float,
+    service: Callable[[Hashable], float],
+    dist: Optional[DistanceFn] = None,
+) -> Optional[List[List[Hashable]]]:
+    """Greedily cut ``order`` into segments of cost ≤ ``bound``; ``None``
+    when a single node already exceeds it."""
+    dist = _depot_lookup(positions, depot, dist)
+    segments: List[List[Hashable]] = []
+    current: List[Hashable] = []
+    open_cost = 0.0
+    last: Optional[Hashable] = None
+    for node in order:
+        step = dist(last, node) / speed_mps + service(node)
+        closing = dist(node, None) / speed_mps
+        if current and open_cost + step + closing > bound:
+            segments.append(current)
+            current = []
+            last = None
+            open_cost = 0.0
+            step = dist(None, node) / speed_mps + service(node)
+        if not current and step + closing > bound:
+            return None
+        current.append(node)
+        open_cost += step
+        last = node
+    if current:
+        segments.append(current)
+    return segments
+
+
+def _binary_search(
+    low: float,
+    high: float,
+    feasible: Callable[[float], Optional[List[List[Hashable]]]],
+    best: List[List[Hashable]],
+) -> List[List[Hashable]]:
+    low_split = feasible(low)
+    if low_split is not None:
+        return low_split
+    for _ in range(_BINARY_SEARCH_MAX_ITER):
+        if high - low <= _BINARY_SEARCH_REL_TOL * max(high, 1.0):
+            break
+        mid = (low + high) / 2.0
+        segs = feasible(mid)
+        if segs is None:
+            low = mid
+        else:
+            high = mid
+            best = segs
+    return best
+
+
+def legacy_split_tour_min_max(
+    order: Sequence[Hashable],
+    num_tours: int,
+    positions: Mapping[Hashable, PointLike],
+    depot: PointLike,
+    speed_mps: float,
+    service: Callable[[Hashable], float],
+    dist: Optional[DistanceFn] = None,
+) -> Tuple[List[List[Hashable]], float]:
+    """Binary search over the bound with the greedy packer as the
+    feasibility check; segments padded to ``num_tours``."""
+    if num_tours <= 0:
+        raise ValueError(f"num_tours must be positive, got {num_tours}")
+    order = list(order)
+    if not order:
+        return [[] for _ in range(num_tours)], 0.0
+    dist = _depot_lookup(positions, depot, dist)
+
+    def cost(seg: Sequence[Hashable]) -> float:
+        return segment_cost(seg, positions, depot, speed_mps, service, dist)
+
+    low = max(cost([node]) for node in order)
+    high = cost(order)
+
+    def feasible(bound: float) -> Optional[List[List[Hashable]]]:
+        slack = bound * (1.0 + 1e-12) + 1e-9
+        segs = legacy_greedy_split_with_bound(
+            order, slack, positions, depot, speed_mps, service, dist
+        )
+        if segs is None or len(segs) > num_tours:
+            return None
+        return segs
+
+    best = feasible(high)
+    assert best is not None, "the full tour must fit in one segment"
+    best = _binary_search(low, high, feasible, best)
+    padded = [list(seg) for seg in best]
+    padded.extend([] for _ in range(num_tours - len(padded)))
+    return padded, max(cost(seg) for seg in best if seg)
+
+
+def _greedy_split_dual(
+    order: Sequence[Hashable],
+    delay_bound_s: float,
+    speed_mps: float,
+    service: Callable[[Hashable], float],
+    model: MCVEnergyModel,
+    dist: DistanceFn,
+) -> Optional[List[List[Hashable]]]:
+    """Greedy packing under both the delay bound and the battery."""
+    segments: List[List[Hashable]] = []
+    current: List[Hashable] = []
+    open_cost = 0.0
+    open_travel = 0.0
+    open_charge = 0.0
+    last: Optional[Hashable] = None
+
+    def fits(cost, travel_m, charge_s) -> bool:
+        energy = model.travel_energy(travel_m) + model.charging_energy(
+            charge_s
+        )
+        return cost <= delay_bound_s and energy <= model.battery_j
+
+    for node in order:
+        leg = dist(last, node)
+        svc = service(node)
+        closing = dist(node, None)
+        candidate_cost = open_cost + leg / speed_mps + svc + closing / speed_mps
+        candidate_travel = open_travel + leg + closing
+        candidate_charge = open_charge + svc
+        if current and not fits(
+            candidate_cost, candidate_travel, candidate_charge
+        ):
+            segments.append(current)
+            current = []
+            open_cost = open_travel = open_charge = 0.0
+            last = None
+            leg = dist(None, node)
+            candidate_cost = leg / speed_mps + svc + closing / speed_mps
+            candidate_travel = leg + closing
+            candidate_charge = svc
+        if not current and not fits(
+            candidate_cost, candidate_travel, candidate_charge
+        ):
+            return None
+        current.append(node)
+        open_cost += leg / speed_mps + svc
+        open_travel += leg
+        open_charge += svc
+        last = node
+    if current:
+        segments.append(current)
+    return segments
+
+
+def legacy_split_tour_energy_constrained(
+    order: Sequence[Hashable],
+    num_tours: int,
+    positions: Mapping[Hashable, PointLike],
+    depot: PointLike,
+    speed_mps: float,
+    service: Callable[[Hashable], float],
+    model: MCVEnergyModel,
+    dist: Optional[DistanceFn] = None,
+) -> Tuple[Optional[List[List[Hashable]]], float]:
+    """The min-max binary search with the battery as a hard side
+    constraint on every candidate segment."""
+    if num_tours <= 0:
+        raise ValueError(f"num_tours must be positive, got {num_tours}")
+    order = list(order)
+    if not order:
+        return [[] for _ in range(num_tours)], 0.0
+    dist = _depot_lookup(positions, depot, dist)
+
+    def cost(seg: Sequence[Hashable]) -> float:
+        return segment_cost(seg, positions, depot, speed_mps, service, dist)
+
+    low = max(cost([node]) for node in order)
+    high = cost(order)
+
+    def feasible(bound: float) -> Optional[List[List[Hashable]]]:
+        slack = bound * (1.0 + 1e-12) + 1e-9
+        segs = _greedy_split_dual(
+            order, slack, speed_mps, service, model, dist
+        )
+        if segs is None or len(segs) > num_tours:
+            return None
+        return segs
+
+    best = feasible(high)
+    if best is None:
+        return None, math.inf
+    best = _binary_search(low, high, feasible, best)
+    padded = [list(seg) for seg in best]
+    padded.extend([] for _ in range(num_tours - len(padded)))
+    return padded, max(cost(seg) for seg in best if seg)

@@ -64,3 +64,11 @@ class TestCmdBench:
         out = capsys.readouterr().out
         # Appro 1.0 vs AA 3.0 -> 67% shorter at the first point.
         assert "67%" in out
+
+    def test_quick_without_online_is_usage_error(self, stubbed_figures, capsys):
+        # --quick belongs to the online campaign; it must not fall
+        # through to a figure run.
+        for argv in (["bench", "--quick"], ["bench", "fig3", "--quick"]):
+            assert main(argv) == 2
+            assert "--quick applies only to --online" in capsys.readouterr().out
+        assert stubbed_figures == {}

@@ -1,11 +1,10 @@
 """Parity and unit tests for the array tour engine (DESIGN §16).
 
-The engine's contract is *byte parity*: with a dense backend available,
-every rewired tours function must return exactly what the legacy scalar
-path returns — same orders, same split segments, same achieved-delay
-floats. The legacy paths stay in the codebase as the oracle (reached
-via ``use_arrays(False)``), mirroring how ``tests/_legacy_conflicts.py``
-pins the conflict engine.
+The engine's contract is *byte parity*: every tours function must
+return exactly what the retired label-space loops return — same
+orders, same split segments, same achieved-delay floats. Those loops
+live on in ``tests/_legacy_tours.py`` as the oracle, mirroring how
+``tests/_legacy_conflicts.py`` pins the conflict engine.
 """
 
 import math
@@ -14,17 +13,19 @@ import random
 import numpy as np
 import pytest
 
+import repro.baselines.aa as aa_module
+import repro.core.metaheuristic as metaheuristic_module
+import repro.tours.energy_budget as energy_budget_module
+import repro.tours.kminmax as kminmax_module
 from repro.geometry.distcache import DistanceCache
 from repro.network.topology import random_wrsn
 from repro.pipeline.planner import planner_names, run_planner
 from repro.tours.arrays import (
-    DENSE_MAX_NODES,
     ArrayDistance,
     ArrayTour,
     NodeIndexCodec,
     canonical_labels,
     dense_backend,
-    use_arrays,
 )
 from repro.tours.energy_budget import (
     MCVEnergyModel,
@@ -34,6 +35,14 @@ from repro.tours.improve import or_opt, two_opt
 from repro.tours.kminmax import solve_k_minmax_tours
 from repro.tours.splitting import greedy_split_with_bound, split_tour_min_max
 from repro.tours.tsp import build_tsp_order
+from tests._legacy_tours import (
+    legacy_build_tsp_order,
+    legacy_greedy_split_with_bound,
+    legacy_or_opt,
+    legacy_split_tour_energy_constrained,
+    legacy_split_tour_min_max,
+    legacy_two_opt,
+)
 
 PARITY_SEEDS = 100
 
@@ -52,6 +61,23 @@ def random_instance(seed, max_nodes=40, min_nodes=2):
     rng.shuffle(order)
     dist = DistanceCache(positions, depot)
     return rng, order, positions, depot, service_map, dist
+
+
+def _legacy_routing(m) -> None:
+    """Route every tour construction, local search and split the
+    planners reach through the label-space oracle."""
+    for module in (kminmax_module, energy_budget_module, aa_module):
+        m.setattr(module, "build_tsp_order", legacy_build_tsp_order)
+    for module in (kminmax_module, energy_budget_module, metaheuristic_module):
+        m.setattr(module, "two_opt", legacy_two_opt)
+        m.setattr(module, "or_opt", legacy_or_opt)
+    for module in (kminmax_module, metaheuristic_module):
+        m.setattr(module, "split_tour_min_max", legacy_split_tour_min_max)
+    m.setattr(
+        energy_budget_module,
+        "split_tour_energy_constrained",
+        legacy_split_tour_energy_constrained,
+    )
 
 
 class TestNodeIndexCodec:
@@ -110,15 +136,35 @@ class TestDenseMatrix:
 class TestDenseBackend:
     def test_gating(self):
         _, order, positions, depot, _, dist = random_instance(5)
-        assert dense_backend(dist, order) is not None
-        # Disabled engine, plain-callable dist, depot-less cache,
-        # oversized label set, duplicate labels: all legacy.
-        with use_arrays(False):
-            assert dense_backend(dist, order) is None
-        assert dense_backend(lambda a, b: 0.0, order) is None
-        assert dense_backend(DistanceCache(positions), order) is None
-        assert dense_backend(dist, range(DENSE_MAX_NODES + 1)) is None
-        assert dense_backend(dist, [order[0], order[0]]) is None
+        cached = dense_backend(dist, order)
+        # A plain callable gets its matrix from one pairwise fill:
+        # the same entries, each unordered pair read once.
+        calls = []
+
+        def plain(a, b):
+            calls.append((a, b))
+            return dist(a, b)
+
+        filled = dense_backend(plain, order)
+        assert filled.codec.labels == cached.codec.labels
+        np.testing.assert_array_equal(filled.matrix, cached.matrix)
+        n = len(order)
+        assert len(calls) == (n + 1) * n // 2
+        assert len({frozenset(pair) for pair in calls}) == len(calls)
+        # A depot-less cache has no depot row; duplicates no codec.
+        with pytest.raises(ValueError):
+            dense_backend(DistanceCache(positions), order)
+        for backend_dist in (dist, plain):
+            with pytest.raises(ValueError):
+                dense_backend(backend_dist, [order[0], order[0]])
+
+    def test_build_tsp_order_rejects_duplicates(self):
+        _, order, positions, depot, _, dist = random_instance(5)
+        for method in ("nearest_neighbor", "greedy_edge", "christofides"):
+            with pytest.raises(ValueError):
+                build_tsp_order(
+                    order + order[:1], positions, depot, method, dist=dist
+                )
 
     def test_permuted_orders_share_one_matrix(self):
         _, order, _, _, _, dist = random_instance(6)
@@ -157,14 +203,13 @@ class TestArrayTour:
 
 
 class TestKernelParity:
-    """Array kernels vs the legacy scalar oracle, 100 random seeds."""
+    """Array kernels vs the label-space oracle, 100 random seeds."""
 
     @pytest.mark.parametrize("seed", range(PARITY_SEEDS))
     def test_two_opt_and_or_opt(self, seed):
         _, order, positions, depot, _, dist = random_instance(seed)
-        with use_arrays(False):
-            legacy = two_opt(order, positions, depot, dist=dist)
-            legacy = or_opt(legacy, positions, depot, dist=dist)
+        legacy = legacy_two_opt(order, positions, depot, dist=dist)
+        legacy = legacy_or_opt(legacy, positions, depot, dist=dist)
         fast = two_opt(order, positions, depot, dist=dist)
         fast = or_opt(fast, positions, depot, dist=dist)
         assert fast == legacy
@@ -177,10 +222,9 @@ class TestKernelParity:
         k = rng.randint(1, 4)
         speed = rng.uniform(0.5, 3.0)
         service = service_map.__getitem__
-        with use_arrays(False):
-            legacy = split_tour_min_max(
-                order, k, positions, depot, speed, service, dist=dist
-            )
+        legacy = legacy_split_tour_min_max(
+            order, k, positions, depot, speed, service, dist=dist
+        )
         fast = split_tour_min_max(
             order, k, positions, depot, speed, service, dist=dist
         )
@@ -196,10 +240,9 @@ class TestKernelParity:
         # A bound between the single-node floor and the full-tour cost
         # exercises both feasible and infeasible outcomes.
         bound = rng.uniform(50.0, 2000.0)
-        with use_arrays(False):
-            legacy = greedy_split_with_bound(
-                order, bound, positions, depot, speed, service, dist=dist
-            )
+        legacy = legacy_greedy_split_with_bound(
+            order, bound, positions, depot, speed, service, dist=dist
+        )
         fast = greedy_split_with_bound(
             order, bound, positions, depot, speed, service, dist=dist
         )
@@ -218,11 +261,9 @@ class TestKernelParity:
             travel_j_per_m=rng.uniform(1.0, 20.0),
             transfer_efficiency=rng.uniform(0.3, 1.0),
         )
-        with use_arrays(False):
-            legacy = split_tour_energy_constrained(
-                order, k, positions, depot, speed, service, model,
-                dist=dist,
-            )
+        legacy = legacy_split_tour_energy_constrained(
+            order, k, positions, depot, speed, service, model, dist=dist
+        )
         fast = split_tour_energy_constrained(
             order, k, positions, depot, speed, service, model, dist=dist
         )
@@ -234,17 +275,36 @@ class TestKernelParity:
             seed, max_nodes=30
         )
         for method in ("nearest_neighbor", "greedy_edge"):
-            with use_arrays(False):
-                legacy = build_tsp_order(
-                    order, positions, depot, method=method, dist=dist
-                )
+            legacy = legacy_build_tsp_order(
+                order, positions, depot, method=method, dist=dist
+            )
             fast = build_tsp_order(
                 order, positions, depot, method=method, dist=dist
             )
             assert fast == legacy, method
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_tsp_constructions_with_ties(self, seed):
+        # Lattice points tie on distance everywhere; ids past 9 make
+        # the str() tie-break differ from numeric order.
+        rng = random.Random(seed)
+        positions = {
+            i: (10.0 * rng.randrange(4), 10.0 * rng.randrange(4))
+            for i in range(rng.randint(12, 30))
+        }
+        depot = (10.0 * rng.randrange(4), 10.0 * rng.randrange(4))
+        order = list(positions)
+        rng.shuffle(order)
+        dist = DistanceCache(positions, depot)
+        for method in ("nearest_neighbor", "greedy_edge"):
+            assert build_tsp_order(
+                order, positions, depot, method=method, dist=dist
+            ) == legacy_build_tsp_order(
+                order, positions, depot, method=method, dist=dist
+            ), method
+
     @pytest.mark.parametrize("seed", range(0, PARITY_SEEDS, 10))
-    def test_solve_k_minmax_end_to_end(self, seed):
+    def test_solve_k_minmax_end_to_end(self, seed, monkeypatch):
         rng, order, positions, depot, service_map, dist = random_instance(
             seed
         )
@@ -252,7 +312,8 @@ class TestKernelParity:
         speed = rng.uniform(0.5, 3.0)
         service = service_map.__getitem__
         for method in ("nearest_neighbor", "greedy_edge", "christofides"):
-            with use_arrays(False):
+            with monkeypatch.context() as m:
+                _legacy_routing(m)
                 legacy = solve_k_minmax_tours(
                     order, positions, depot, k, speed, service,
                     tsp_method=method, dist=dist,
@@ -270,38 +331,88 @@ class TestPlannerParity:
     Each seed draws a fresh network; ``K`` rotates through {1, 2, 3}
     so the corpus covers every fleet size with every planner. The
     objective and the per-tour delays must be byte-identical between
-    the array engine and the legacy scalar paths.
+    the array engine and the label-space oracle.
     """
 
     @pytest.mark.parametrize("seed", range(PARITY_SEEDS))
-    def test_all_planners(self, seed):
+    def test_all_planners(self, seed, monkeypatch):
         k = seed % 3 + 1
         network = random_wrsn(18, seed=seed, initial_fraction=0.15)
         requests = network.all_sensor_ids()[: 12 + seed % 5]
         for name in planner_names():
-            with use_arrays(False):
+            with monkeypatch.context() as m:
+                _legacy_routing(m)
                 legacy = run_planner(name, network, requests, k)
             fast = run_planner(name, network, requests, k)
             assert fast.longest_delay() == legacy.longest_delay(), name
             assert fast.tour_delays() == legacy.tour_delays(), name
 
 
-class TestUseArraysToggle:
-    def test_nested_and_restoring(self):
-        from repro.tours.arrays import arrays_enabled
+def synthetic_instance(num_nodes, seed):
+    """Uniform nodes at constant density (side ``20 * sqrt(n)``), a
+    central depot and 60-600 s of service per node."""
+    rng = random.Random(seed)
+    side = math.sqrt(num_nodes) * 20.0
+    positions = {
+        i: (rng.uniform(0.0, side), rng.uniform(0.0, side))
+        for i in range(num_nodes)
+    }
+    depot = (side / 2.0, side / 2.0)
+    service_map = {i: rng.uniform(60.0, 600.0) for i in range(num_nodes)}
+    order = list(range(num_nodes))
+    rng.shuffle(order)
+    return order, positions, depot, service_map
 
-        assert arrays_enabled()
-        with use_arrays(False):
-            assert not arrays_enabled()
-            with use_arrays(True):
-                assert arrays_enabled()
-            assert not arrays_enabled()
-        assert arrays_enabled()
 
-    def test_restores_on_exception(self):
-        from repro.tours.arrays import arrays_enabled
+class TestLargeInstanceParity:
+    def test_local_search_and_split_500_nodes(self):
+        # Bounded rounds keep the label-space oracle to a few seconds.
+        order, positions, depot, service_map = synthetic_instance(500, 0)
+        dist = DistanceCache(positions, depot)
+        service = service_map.__getitem__
+        legacy = legacy_two_opt(order, positions, depot, 2, dist=dist)
+        fast = two_opt(order, positions, depot, 2, dist=dist)
+        assert fast == legacy
+        legacy = legacy_or_opt(
+            legacy, positions, depot, max_rounds=1, dist=dist
+        )
+        fast = or_opt(fast, positions, depot, max_rounds=1, dist=dist)
+        assert fast == legacy
+        assert legacy_split_tour_min_max(
+            legacy, 8, positions, depot, 1.0, service, dist=dist
+        ) == split_tour_min_max(
+            fast, 8, positions, depot, 1.0, service, dist=dist
+        )
 
-        with pytest.raises(RuntimeError):
-            with use_arrays(False):
-                raise RuntimeError("boom")
-        assert arrays_enabled()
+
+class TestPlainCallableDistance:
+    """A plain callable ``dist`` fills the matrix pairwise; every
+    result equals the one read from the depot-carrying cache."""
+
+    @pytest.mark.parametrize("seed", range(0, PARITY_SEEDS, 5))
+    def test_same_results_as_cache(self, seed):
+        rng, order, positions, depot, service_map, dist = random_instance(
+            seed, min_nodes=3
+        )
+        plain = DistanceCache(positions, depot).__call__
+        service = service_map.__getitem__
+        for method in (
+            "nearest_neighbor", "greedy_edge", "double_mst", "christofides"
+        ):
+            assert build_tsp_order(
+                order, positions, depot, method, dist=plain
+            ) == build_tsp_order(
+                order, positions, depot, method, dist=dist
+            ), method
+        assert two_opt(order, positions, depot, dist=plain) == two_opt(
+            order, positions, depot, dist=dist
+        )
+        assert or_opt(order, positions, depot, dist=plain) == or_opt(
+            order, positions, depot, dist=dist
+        )
+        k = rng.randint(1, 4)
+        assert split_tour_min_max(
+            order, k, positions, depot, 1.5, service, dist=plain
+        ) == split_tour_min_max(
+            order, k, positions, depot, 1.5, service, dist=dist
+        )

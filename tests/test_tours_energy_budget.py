@@ -167,6 +167,16 @@ class TestSolverAndFleetSizing:
         )
         assert k is None and tours is None
 
+    @pytest.mark.parametrize("ceiling", [0, -3])
+    def test_non_positive_ceiling_rejected(self, ceiling):
+        positions = {0: Point(40, 40), 1: Point(60, 60)}
+        model = MCVEnergyModel(battery_j=1e9)
+        with pytest.raises(ValueError, match="max_chargers"):
+            minimum_chargers_energy_constrained(
+                [0, 1], positions, DEPOT, 1.0, lambda v: 1.0, model,
+                max_chargers=ceiling,
+            )
+
     def test_empty_nodes(self):
         model = MCVEnergyModel(battery_j=1.0)
         k, tours = minimum_chargers_energy_constrained(

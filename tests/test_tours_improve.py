@@ -1,5 +1,8 @@
 """Unit tests for :mod:`repro.tours.improve`."""
 
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,22 @@ def random_instance(seed, n):
 
 
 DEPOT = Point(50, 50)
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail with ``TimeoutError`` instead of hanging past ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestTwoOpt:
@@ -90,6 +109,21 @@ class TestOrOpt:
         assert cycle_travel_length(improved, positions, depot) <= (
             cycle_travel_length(bad, positions, depot)
         )
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"segment_lengths": (0,)},
+            {"segment_lengths": (1, -2)},
+            {"min_gain": -1.0},
+        ],
+    )
+    def test_bad_arguments_rejected_fast(self, kwargs):
+        # Either argument lets a no-op move count as an improvement,
+        # so the scan would never advance.
+        positions = random_instance(seed=7, n=12)
+        with deadline(1.0), pytest.raises(ValueError):
+            or_opt(list(positions), positions, DEPOT, **kwargs)
 
     def test_combined_pipeline(self):
         positions = random_instance(seed=6, n=40)

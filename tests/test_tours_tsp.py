@@ -10,9 +10,8 @@ from repro.tours.tsp import (
     build_tsp_order,
     christofides_tour,
     double_mst_tour,
-    greedy_edge_tour,
-    nearest_neighbor_tour,
 )
+from tests._legacy_tours import greedy_edge_tour, nearest_neighbor_tour
 
 METHODS = ["nearest_neighbor", "greedy_edge", "double_mst", "christofides"]
 
@@ -81,18 +80,30 @@ class TestBuildTspOrder:
 
 
 class TestIndividualConstructions:
+    """Nearest-neighbour and greedy-edge run only behind
+    ``build_tsp_order``; each case checks the label-space oracle's
+    cycle and that ``build_tsp_order`` returns it, rooted at the
+    start node as the depot."""
+
     def test_nearest_neighbor_starts_at_start(self):
         positions = random_instance(seed=4, n=10)
         positions["s"] = Point(0, 0)
         cycle = nearest_neighbor_tour(list(positions), positions, "s")
         assert cycle[0] == "s"
         assert sorted(map(str, cycle)) == sorted(map(str, positions))
+        nodes = [n for n in positions if n != "s"]
+        assert build_tsp_order(
+            nodes, positions, positions["s"], "nearest_neighbor"
+        ) == cycle[1:]
 
     def test_nearest_neighbor_greedy_property(self):
         # On a line, NN from the left end visits in order.
         positions = {i: Point(float(i), 0.0) for i in range(5)}
         cycle = nearest_neighbor_tour(list(positions), positions, 0)
         assert cycle == [0, 1, 2, 3, 4]
+        assert build_tsp_order(
+            [1, 2, 3, 4], positions, positions[0], "nearest_neighbor"
+        ) == [1, 2, 3, 4]
 
     def test_greedy_edge_cycle_valid(self):
         positions = random_instance(seed=5, n=25)
@@ -101,6 +112,12 @@ class TestIndividualConstructions:
         assert cycle[0] == "s"
         assert len(cycle) == len(positions)
         assert len(set(map(str, cycle))) == len(positions)
+        # build_tsp_order puts the depot last in its index space, so
+        # the oracle's node order must end with the start as well.
+        nodes = [n for n in positions if n != "s"]
+        assert build_tsp_order(
+            nodes, positions, positions["s"], "greedy_edge"
+        ) == greedy_edge_tour(nodes + ["s"], positions, "s")[1:]
 
     def test_double_mst_valid(self):
         positions = random_instance(seed=6, n=25)
